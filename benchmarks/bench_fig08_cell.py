@@ -29,6 +29,7 @@ from repro.bench.harness import (
 from repro.compiler.execution import Engine
 from repro.config import CodegenConfig
 from repro.runtime.matrix import MatrixBlock
+from repro.runtime.skeletons import KERNEL_COMPARE_RTOL
 
 MODES = ["numpy", "base", "fused", "gen"]
 SIZES = quick_trim([100_000, 1_000_000, 4_000_000])
@@ -131,7 +132,7 @@ def test_fig08_cell_tier_speedup(benchmark):
     timings of both tiers (kernel-only microbenchmarks reach ~3.5x at
     4M cells where the tile loop is bandwidth-bound).
     """
-    rtol = CodegenConfig().kernel_compare_rtol
+    rtol = KERNEL_COMPARE_RTOL
 
     def run():
         results = []

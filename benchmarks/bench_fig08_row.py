@@ -23,6 +23,7 @@ from repro.bench.harness import (
 from repro.compiler.execution import Engine
 from repro.config import CodegenConfig
 from repro.runtime.matrix import MatrixBlock
+from repro.runtime.skeletons import KERNEL_COMPARE_RTOL
 
 MODES = ["numpy", "base", "fused", "gen"]
 SIZES = quick_trim([100_000, 1_000_000, 4_000_000])
@@ -130,7 +131,7 @@ def test_fig08_row_tier_speedup(benchmark):
     sizes >= 1M (the 100K quick size is dominated by fixed dispatch
     cost and only reported).
     """
-    rtol = CodegenConfig().kernel_compare_rtol
+    rtol = KERNEL_COMPARE_RTOL
 
     def run():
         results = []

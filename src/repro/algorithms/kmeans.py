@@ -63,7 +63,10 @@ def kmeans(x, n_centroids: int = 5, engine=None, tol: float = 1e-12,
             engine, (P.T @ X) / api.maximum(P.col_sums().T, 1e-30)
         )
         iteration += 1
-        if abs(prev_loss - wcss) <= tol * max(abs(prev_loss), 1.0):
+        # No convergence test against the initial inf: inf - wcss is
+        # inf, which ``tol * inf`` would always accept.
+        if np.isfinite(prev_loss) and \
+                abs(prev_loss - wcss) <= tol * max(abs(prev_loss), 1.0):
             break
         prev_loss = wcss
 

@@ -20,9 +20,8 @@ contract the templates are supposed to honor, *before* compilation:
   CSR-main-safe Row kernels must not densify their sparse main input
   (no ``.toarray()``/``.todense()``, no ``np.asarray(a, ...)``).
 
-Interpreted (``genexec``) and Numba sources keep their loops: the
-inline-primitives mode and the jitted per-cell variants are loop-based
-by design.
+Interpreted (``genexec``) sources keep their loops: the
+inline-primitives mode is loop-based by design.
 """
 
 from __future__ import annotations
@@ -108,8 +107,8 @@ def lint_source(name: str, source: str, kind: str = "interpreted",
                 csr_main_safe: bool = False) -> list[LintFinding]:
     """Lint one generated source; returns all findings (empty = clean).
 
-    ``kind`` is ``"interpreted"`` (pygen ``genexec``), ``"vectorized"``
-    (npgen ``genkernel``), or ``"numba"`` (the jitted loop variant).
+    ``kind`` is ``"interpreted"`` (pygen ``genexec``) or
+    ``"vectorized"`` (npgen ``genkernel``).
     """
     from repro.codegen.pygen import GENERATED_IMPORT_MODULES
 

@@ -173,10 +173,9 @@ class CPlan:
 def compressed_cell_eligible(cplan: CPlan) -> bool:
     """Dictionary-only execution guard (Figure 9 conditions).
 
-    The single source of truth for the serial cell skeleton, the
-    group-wise intra-op partitioner, the kernel tier's compressed-CELL
-    variant, and npgen's variant emission: sparse-safe, no side inputs,
-    sum-aggregated FULL/MULTI_AGG cell plans execute over distinct
+    The single source of truth for the skeletons' dictionary-direct
+    driver and the group-wise intra-op partitioner: sparse-safe, no side
+    inputs, sum-aggregated FULL/MULTI_AGG cell plans execute over distinct
     dictionary values only.  A static plan property — independent of
     the bound runtime inputs.
     """

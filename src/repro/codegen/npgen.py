@@ -15,36 +15,21 @@ per operator that consumes whole runtime values in a single call —
   the kernel is *CSR-main-safe* and executes directly on the sparse
   main without densifying,
 * **Outer** kernels evaluate the per-non-zero body over batched CSR row
-  ranges (the driver in :mod:`repro.runtime.npexec` owns chunking and
-  the U/V/W products).
+  ranges (the compiled Outer driver in :mod:`repro.runtime.skeletons`
+  owns chunking and the U/V/W products).
 
 Kernels are attached to the :class:`~repro.codegen.pygen
 .GeneratedOperator` that the semantic-hash plan cache shares across
 programs, serving specializations, and adaptive recompiles, so a kernel
-compiles once per equivalent operator.  An optional Numba tier JIT-jits
-a per-cell loop variant behind ``config.numba_kernels``; when Numba is
-absent or the body is outside the jittable subset, execution degrades
-to the vectorized NumPy kernel with a recorded fallback.
+compiles once per equivalent operator.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from repro.codegen.cplan import (
-    Access,
-    CNode,
-    CPlan,
-    OutType,
-    compressed_cell_eligible,
-)
-from repro.codegen.pygen import (
-    _SCALAR_BINARY_FMT,
-    _SCALAR_UNARY_EXPR,
-    _Emitter,
-    operator_name,
-)
+from repro.codegen.cplan import Access, CNode, CPlan, OutType
+from repro.codegen.pygen import _Emitter, operator_name
 from repro.codegen.template import TemplateType
 from repro.errors import CodegenError
 
@@ -62,23 +47,6 @@ class CompiledKernel:
     source: str
     entry: object  # genkernel callable
     csr_main_safe: bool = False
-    # Optional Numba tier: the per-cell loop variant and its jitted
-    # callable.  ``numba_failed`` pins the kernel to the NumPy tier
-    # after an unavailable import or a jit/runtime failure.
-    numba_source: str = ""
-    numba_entry: object = None
-    numba_failed: bool = False
-    # Compressed-CELL variant: runs the vectorized body over each
-    # column group's distinct dictionary values and combines with
-    # counts (emitted only for compressed-eligible cell plans).
-    comp_source: str = ""
-    comp_entry: object = None
-
-    @property
-    def tier(self) -> str:
-        if self.numba_entry is not None and not self.numba_failed:
-            return "numba"
-        return "numpy"
 
 
 def kernel_name(cplan: CPlan) -> str:
@@ -279,166 +247,6 @@ def _csr_main_safe(cplan: CPlan) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Compressed-CELL variant (dictionary-direct tier)
-# ----------------------------------------------------------------------
-def generate_compressed_cell_source(cplan: CPlan) -> tuple[str, str]:
-    """Emit the compressed-CELL kernel variant for an eligible plan.
-
-    ``genkernel_comp(a, c, b, s)`` evaluates the vectorized cell body
-    over one column member's distinct dictionary values ``a`` (1-D) and
-    combines each root with the value counts ``c`` — the Figure 9
-    dictionary-direct execution.  The driver in
-    :mod:`repro.runtime.npexec` sums the per-column contributions.
-    Callers must check :func:`~repro.codegen.cplan
-    .compressed_cell_eligible` first (sparse-safe, side-input-free,
-    sum-aggregated cell plans only).
-    """
-    if not compressed_cell_eligible(cplan):
-        raise CodegenError(
-            f"plan not compressed-cell eligible: {cplan.ttype}"
-        )
-    name = kernel_name(cplan) + "_comp"
-    emitter = _Emitter(cplan, inline_primitives=False)
-    body_lines, result_vars = emitter.emit_roots()
-    final = []
-    parts = []
-    for k, res in enumerate(result_vars):
-        final.append(
-            f"_p{k} = float(np.dot(np.broadcast_to({res}, a.shape), c))"
-        )
-        parts.append(f"_p{k}")
-    if cplan.out_type is OutType.MULTI_AGG:
-        final.append(f"return np.array([{', '.join(parts)}])")
-    else:
-        final.append("return _p0")
-    lines = [
-        f"# generated compressed-cell kernel {name}: {cplan.ttype.value} "
-        f"({cplan.out_type.value})",
-        "import numpy as np",
-        "from repro.runtime import vector as vp",
-        "",
-        "def genkernel_comp(a, c, b, s):",
-    ]
-    lines.extend("    " + line for line in body_lines)
-    lines.extend("    " + line for line in final)
-    return name, "\n".join(lines) + "\n"
-
-
-# ----------------------------------------------------------------------
-# Numba per-cell variant (optional tier)
-# ----------------------------------------------------------------------
-def generate_numba_source(cplan: CPlan) -> str | None:
-    """Emit a fixed-arity per-cell loop variant for Numba jitting.
-
-    Covers dense Cell/MAgg plans whose body is a pure per-cell
-    expression, for the NO_AGG / ROW_AGG / FULL_AGG output variants.
-    Returns ``None`` when the plan is outside this subset — callers
-    degrade to the NumPy kernel and record a fallback.
-    """
-    if cplan.ttype not in _CELL_TEMPLATES or len(cplan.roots) != 1:
-        return None
-    if cplan.out_type not in (OutType.NO_AGG, OutType.ROW_AGG,
-                              OutType.FULL_AGG):
-        return None
-    agg = cplan.agg_ops[0] if cplan.agg_ops else "sum"
-    if cplan.out_type is not OutType.NO_AGG and agg not in ("sum", "min", "max"):
-        return None
-
-    side_slot: dict[int, int] = {}
-    scalar_slot: dict[int, int] = {}
-    for idx, spec in enumerate(cplan.inputs):
-        if idx == cplan.main_index:
-            continue
-        if spec.access is Access.SCALAR:
-            scalar_slot[idx] = len(scalar_slot)
-        else:
-            side_slot[idx] = len(side_slot)
-
-    counter = itertools.count(1)
-    exprs: dict[int, str] = {}
-    body: list[str] = []
-
-    def expand(node: CNode) -> str | None:
-        if node.id in exprs:
-            return exprs[node.id]
-        kind, _, detail = node.op.partition(":")
-        if node.op == "lit":
-            expr = repr(node.value)
-        elif node.op == "data":
-            if node.input_index == cplan.main_index:
-                expr = "a[_i, _j]"
-            elif node.input_index in scalar_slot:
-                expr = f"s{scalar_slot[node.input_index]}"
-            else:
-                slot = side_slot[node.input_index]
-                expr = f"b{slot}[_i % _b{slot}_r, _j % _b{slot}_c]"
-        elif kind == "u" and detail in _SCALAR_UNARY_EXPR:
-            inner = expand(node.inputs[0])
-            if inner is None:
-                return None
-            expr = _SCALAR_UNARY_EXPR[detail].format(inner)
-        elif kind == "b" and detail in _SCALAR_BINARY_FMT:
-            left = expand(node.inputs[0])
-            right = expand(node.inputs[1])
-            if left is None or right is None:
-                return None
-            expr = _SCALAR_BINARY_FMT[detail].format(left, right)
-        else:
-            return None
-        var = f"v{next(counter)}"
-        exprs[node.id] = var
-        body.append(f"{var} = {expr}")
-        return var
-
-    cell = expand(cplan.roots[0])
-    if cell is None:
-        return None
-
-    sides = "".join(f", b{k}" for k in range(len(side_slot)))
-    scalars = "".join(f", s{k}" for k in range(len(scalar_slot)))
-    lines = [
-        f"def genkernel_numba(a{sides}{scalars}):",
-        "    bs, n = a.shape",
-    ]
-    for k in range(len(side_slot)):
-        lines.append(f"    _b{k}_r, _b{k}_c = b{k}.shape")
-    out = cplan.out_type
-    if out is OutType.NO_AGG:
-        lines.append("    out = np.empty((bs, n))")
-    elif out is OutType.ROW_AGG:
-        lines.append("    out = np.empty((bs, 1))")
-    else:
-        init = {"sum": "0.0", "min": "np.inf", "max": "-np.inf"}[agg]
-        lines.append(f"    acc = {init}")
-    lines.append("    for _i in range(bs):")
-    if out is OutType.ROW_AGG:
-        init = {"sum": "0.0", "min": "np.inf", "max": "-np.inf"}[agg]
-        lines.append(f"        _racc = {init}")
-    lines.append("        for _j in range(n):")
-    lines.extend("            " + line for line in body)
-    combine = {
-        "sum": "{0} + {1}", "min": "min({0}, {1})", "max": "max({0}, {1})"
-    }[agg if out is not OutType.NO_AGG else "sum"]
-    if out is OutType.NO_AGG:
-        lines.append(f"            out[_i, _j] = {cell}")
-        lines.append("    return out")
-    elif out is OutType.ROW_AGG:
-        lines.append(f"            _racc = {combine.format('_racc', cell)}")
-        lines.append("        out[_i, 0] = _racc")
-        lines.append("    return out")
-    else:
-        lines.append(f"            acc = {combine.format('acc', cell)}")
-        lines.append("    return acc")
-    header = [
-        f"# generated numba kernel variant: {cplan.ttype.value} "
-        f"({cplan.out_type.value})",
-        "import numpy as np",
-        "",
-    ]
-    return "\n".join(header + lines) + "\n"
-
-
-# ----------------------------------------------------------------------
 # Kernel compilation
 # ----------------------------------------------------------------------
 def compile_kernel(cplan: CPlan, config, stats=None) -> CompiledKernel:
@@ -446,72 +254,20 @@ def compile_kernel(cplan: CPlan, config, stats=None) -> CompiledKernel:
 
     Byte-identical kernel source is shared through the process-wide
     source cache, so equivalent operators across engines never
-    re-``exec`` identical code.  The optional Numba tier is attached
-    here; a missing/unusable Numba records a fallback and leaves the
-    NumPy kernel active.
+    re-``exec`` identical code.
     """
     from repro.codegen.plan_cache import compile_source
 
     name, source, csr_safe = generate_kernel_source(cplan)
-    if getattr(config, "verify_level", "off") != "off":
+    if config.verify_level != "off":
         from repro.analysis.kernel_lint import check_source
 
         check_source(name, source, kind="vectorized",
                      csr_main_safe=csr_safe, stats=stats)
     namespace = compile_source(name, source, "exec", stats=stats)
-    kernel = CompiledKernel(
+    return CompiledKernel(
         name=name,
         source=source,
         entry=namespace["genkernel"],
         csr_main_safe=csr_safe,
     )
-    if compressed_cell_eligible(cplan):
-        comp_name, comp_source = generate_compressed_cell_source(cplan)
-        if getattr(config, "verify_level", "off") != "off":
-            from repro.analysis.kernel_lint import check_source
-
-            check_source(comp_name, comp_source, kind="vectorized",
-                         stats=stats)
-        comp_ns = compile_source(comp_name, comp_source, "exec", stats=stats)
-        kernel.comp_source = comp_source
-        kernel.comp_entry = comp_ns["genkernel_comp"]
-    if getattr(config, "numba_kernels", False):
-        _attach_numba(kernel, cplan, config, stats)
-    return kernel
-
-
-def _attach_numba(kernel: CompiledKernel, cplan: CPlan, config=None,
-                  stats=None) -> None:
-    numba_source = generate_numba_source(cplan)
-    if numba_source is None:
-        _record_numba_fallback(kernel, stats)
-        return
-    if getattr(config, "verify_level", "off") != "off":
-        from repro.analysis.kernel_lint import check_source
-
-        # The jitted variant is loop-based by design; everything else
-        # (imports, names, determinism) is held to the same contract.
-        check_source(kernel.name + "_nb", numba_source, kind="numba",
-                     stats=stats)
-    kernel.numba_source = numba_source
-    try:
-        import numba  # noqa: F401
-    except Exception:
-        _record_numba_fallback(kernel, stats)
-        return
-    try:
-        from repro.codegen.plan_cache import compile_source
-
-        namespace = compile_source(kernel.name + "_nb", numba_source,
-                                   "exec", stats=stats)
-        kernel.numba_entry = numba.njit(cache=False)(
-            namespace["genkernel_numba"]
-        )
-    except Exception:
-        _record_numba_fallback(kernel, stats)
-
-
-def _record_numba_fallback(kernel: CompiledKernel, stats=None) -> None:
-    kernel.numba_failed = True
-    if stats is not None:
-        stats.n_numba_fallbacks += 1

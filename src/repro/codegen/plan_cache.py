@@ -105,9 +105,6 @@ class PlanCache:
                     self.hits += 1
                     operator = self._cache[key]
                     self._record(stats, plan_cache_hits=1)
-                    # Plan-cache hit telemetry feeds the tiered-kernel
-                    # promotion policy: reused operators get hotter.
-                    operator.note_hot()
                     return operator
                 event = self._building.get(key)
                 if event is None:

@@ -50,9 +50,8 @@ class GeneratedOperator:
     Beyond the interpreted ``genexec`` tier, an operator may hold a
     compiled vectorized kernel (:mod:`repro.codegen.npgen`).  Operators
     are shared through the semantic-hash plan cache, so the kernel slot
-    — and the hotness telemetry that triggers promotion — is shared by
-    every program, serving specialization, and adaptive recompile that
-    reuses the operator.
+    is shared by every program, serving specialization, and adaptive
+    recompile that reuses the operator.
     """
 
     name: str
@@ -60,21 +59,15 @@ class GeneratedOperator:
     source: str
     genexec: object  # callable
     # Tiered-kernel state (guarded by ``lock``): ``kernel`` holds the
-    # CompiledKernel once promoted; ``hotness`` counts executions plus
-    # plan-cache hits plus serving warm-bind touches.
+    # CompiledKernel once compiled; ``kernel_failed`` pins the operator
+    # to the interpreted tier.
     kernel: object = None
-    hotness: int = 0
     kernel_failed: bool = False
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def template(self) -> TemplateType:
         return self.cplan.ttype
-
-    def note_hot(self, touches: int = 1) -> None:
-        """Bump hotness without an execution (cache hit / warm bind)."""
-        with self.lock:
-            self.hotness += touches
 
 
 def generate_source(cplan: CPlan, inline_primitives: bool = False) -> tuple[str, str]:

@@ -50,11 +50,6 @@ class CodegenConfig:
     # the constraint ncol(X) <= blocksize for distributed operations.
     blocksize: int = 1024
 
-    # Tile size (rows) used by the local fused-operator skeletons.  Row
-    # tiles play the role of the cache-resident ring-buffer intermediates
-    # of the paper's generated operators.
-    tile_rows: int = 256
-
     # Outer template: the common dimension (rank) must be small.
     outer_max_rank: int = 256
 
@@ -103,7 +98,6 @@ class CodegenConfig:
     large_partition_members: int = 512
     enable_cost_pruning: bool = True
     enable_structural_pruning: bool = True
-    enable_partitioning: bool = True
 
     # Runtime executor: 'parallel' schedules lowered Program instructions
     # over a thread pool by dependency readiness (independent DAG
@@ -135,31 +129,13 @@ class CodegenConfig:
     # (max(8, cpu_count)); >0 caps grants made under this config.
     thread_budget: int = 0
 
-    # Tiered vectorized-kernel backend for generated fused operators.
-    # Operators start on the interpreted path (tile-loop skeletons
-    # calling ``genexec``); once their hotness — executions plus
-    # plan-cache hits plus serving warm-bind touches — reaches
-    # ``kernel_hot_threshold``, a vectorized NumPy kernel is emitted
-    # (whole-array CELL/MAGG bodies with einsum contraction, whole-block
-    # ROW bodies that stay CSR for sparse-safe matmult chains, OUTER
-    # bodies batched over CSR row ranges) and shared through the
-    # semantic-hash plan cache.  0 = compile at first execution.
+    # Compiled tier for generated fused operators: at its first
+    # execution an operator gets a vectorized NumPy kernel (whole-array
+    # CELL/MAGG bodies with einsum contraction, whole-block ROW bodies
+    # that stay CSR for sparse-safe matmult chains, OUTER bodies batched
+    # over CSR row ranges), shared through the semantic-hash plan cache.
+    # False pins every operator to the interpreted tile-loop skeletons.
     vectorized_kernels: bool = True
-    kernel_hot_threshold: int = 0
-    # Optionally JIT the per-cell kernel variant with Numba when a
-    # kernel is promoted.  With Numba absent (or the body outside the
-    # jittable subset) execution degrades to the vectorized NumPy
-    # kernel and records a fallback — never an error.
-    numba_kernels: bool = False
-    # Cell budget for the Outer driver's CSR row-range batches: each
-    # batch holds roughly this many (nnz x rank) gather cells, bounding
-    # the batched side-product temporaries.
-    kernel_chunk_cells: int = 1 << 22
-    # Relative tolerance for compiled-vs-interpreted comparisons where
-    # the vectorized kernel reassociates an aggregation (whole-array
-    # einsum/sum vs the tile-loop combine chain).  Order-preserving
-    # kernels (element-wise, row-wise) are compared exactly.
-    kernel_compare_rtol: float = 1e-9
 
     # Static analysis (repro.analysis).  verify_level gates the IR
     # verifier and the generated-kernel lint: 'off' disables them,

@@ -3,7 +3,7 @@
 Consumes a tracer's recorded events (``trace_level="instructions"`` or
 ``"full"``) and attributes wall-clock to instructions: per operator
 label it reports executions, total/mean time, execution tier
-(interpreted / kernel / numba), input format (dense / csr / compressed),
+(interpreted / kernel), input format (dense / csr / compressed),
 bytes moved, observed-vs-estimated nnz at recompile boundaries, and
 recompile triggers.  Compile-phase and serving totals ride along so one
 report answers "where did the time go" end to end.

@@ -11,7 +11,7 @@ Levels gate instrumentation sites, not span kinds::
 
     off           no-op tracer (module-level ``NULL_TRACER`` singleton)
     phases        request/evaluate, compiler passes, lowering, verify,
-                  kernel compile/promote, recompile splices, serving
+                  kernel compile, recompile splices, serving
                   admission/queue/batch/bind
     instructions  adds one span per executed instruction
     full          adds operator-body (kernel/interpreted run) spans

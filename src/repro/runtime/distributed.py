@@ -508,6 +508,7 @@ class SparkExecutor:
             execute_operator,
             is_row_partitioned_output,
             reduce_spoof_partials,
+            resolve_kernel,
             sliceable_spoof_inputs,
         )
 
@@ -543,22 +544,15 @@ class SparkExecutor:
         # Row-aligned compressed sides must decompress to be sliceable
         # (workers receive the compressed broadcast — charged above —
         # and expand it locally).
-        values = decompress_side_inputs(
-            cplan, values, main_blocked.rows, row_aligned_only=True
-        )
+        values = decompress_side_inputs(cplan, values, main_blocked.rows)
         sliceable = sliceable_spoof_inputs(cplan, values, main_blocked.rows)
         self.stats.record_spoof(cplan.ttype.value)
         row_partitioned = is_row_partitioned_output(cplan.out_type)
         if self.backend is not None:
-            from repro.runtime import npexec
-
-            # Resolve the kernel tier on the driver — one hotness bump
-            # per partition, exactly like the simulated loop — and ship
-            # the decision so workers execute the same tier.
-            use_kernel = [
-                npexec.resolve_kernel(hop.operator, self.config) is not None
-                for _ in main_blocked.bounds
-            ]
+            # Resolve the kernel tier once on the driver (compiling the
+            # kernel like the simulated loop's first partition would)
+            # and ship the decision so every worker runs the same tier.
+            use_kernel = resolve_kernel(hop.operator, self.config) is not None
             partials = self.backend.run_spoof(
                 hop.operator, values, sliceable, main_index, main_blocked,
                 keys[main_index],

@@ -13,13 +13,12 @@ Design invariants (what makes the two backends bit-identical):
   (driver-side ``rops.rix``), and the fixed tree-reduce topology all
   stay on the driver; workers only run the per-partition kernel the
   simulated loop would have run, with ``allow_parallel=False``.
-* The kernel tier is resolved on the driver (one ``resolve_kernel``
-  call per partition, exactly like the simulated loop) and shipped as
-  a boolean; workers rebuild generated operators from the shipped
-  ``(name, source, cplan)`` and *assert* that regenerating the source
-  from the cplan reproduces it byte-for-byte (the deterministic
-  ``TMP_<hash10>`` naming makes this checkable), so the worker executes
-  the same code the driver compiled.
+* The kernel tier is resolved once per operator on the driver
+  (``resolve_kernel``) and shipped as one boolean; workers rebuild
+  generated operators from the shipped ``(name, source, cplan)`` and
+  *assert* that regenerating the source from the cplan reproduces it
+  byte-for-byte (the deterministic ``TMP_<hash10>`` naming makes this
+  checkable), so the worker executes the same code the driver compiled.
 
 Transport: dense blocks move zero-copy through
 ``multiprocessing.shared_memory`` (driver creates + copies once,
@@ -351,8 +350,7 @@ def _run_task(task: dict, caches: dict, operators: dict,
     else:  # "spoof"
         operator = _materialize_operator(operators, task["op_name"], stats)
         config = dataclass_replace(task["config"],
-                                   vectorized_kernels=task["use_kernel"],
-                                   kernel_hot_threshold=0)
+                                   vectorized_kernels=task["use_kernel"])
         from repro.runtime.skeletons import execute_operator
 
         result = execute_operator(operator, values, config, stats,
@@ -671,7 +669,7 @@ class ProcessPoolBackend:
 
     def run_spoof(self, operator, values: list, sliceable: set,
                   main_index: int, main_blocked, main_key,
-                  output_key, use_kernel: list) -> list:
+                  output_key, use_kernel: bool) -> list:
         """Per-partition generated-operator execution."""
         from repro.runtime import ops as rops
 
@@ -699,7 +697,7 @@ class ProcessPoolBackend:
                     inputs.append((mode, value))
             protos.append({
                 "kind": "spoof", "op_name": operator.name,
-                "use_kernel": use_kernel[p], "inputs": inputs,
+                "use_kernel": use_kernel, "inputs": inputs,
                 "cache_as": (output_key, p) if output_key is not None
                 else None,
                 "label": operator.name, "partition": p,

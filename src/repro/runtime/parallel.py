@@ -12,7 +12,8 @@ is the single token pool they all draw from:
   when the parallel section ends,
 * the budget never over-grants (beyond an explicit ``minimum`` a layer
   needs for liveness), so inner layers degrade to serial execution when
-  outer layers already claim the machine,
+  outer layers already claim the machine; a serving worker instead
+  waits for a free token (:meth:`ThreadBudget.acquire_one`),
 * grants only bound *scheduling concurrency* — partition counts and
   combine topologies are fixed by configuration, so results are
   deterministic regardless of how many tokens a run was granted.
@@ -44,6 +45,7 @@ class ThreadBudget:
         # the token-count protocol; the process-global budget below is
         # created at import, long before any checker is enabled.
         self._lock = lockset.make_lock("ThreadBudget._lock")
+        self._released = threading.Condition(self._lock)
         self._active = 0
         #: Peak simultaneously granted tokens (observability for the
         #: oversubscription guard tests and ``parallel_summary``).
@@ -73,12 +75,30 @@ class ThreadBudget:
             self.peak = max(self.peak, self._active)
             return granted
 
+    def acquire_one(self, limit: int | None = None) -> None:
+        """Take one token, waiting for a release while none is free.
+
+        For a serving worker, which must run its batch but need not run
+        it now: the tokens it waits on belong to runs that finish
+        without it.  Pair with ``release(1)``.
+        """
+        total = self.total if limit is None or limit <= 0 else min(
+            self.total, limit
+        )
+        with self._released:
+            while self._active >= total:
+                self._released.wait()
+            lockset.note_access("ThreadBudget", self, "active")
+            self._active += 1
+            self.peak = max(self.peak, self._active)
+
     def release(self, granted: int) -> None:
         if granted <= 0:
             return
-        with self._lock:
+        with self._released:
             lockset.note_access("ThreadBudget", self, "active")
             self._active -= granted
+            self._released.notify_all()
 
 
 _BUDGET = ThreadBudget()

@@ -2,10 +2,35 @@
 
 The hand-coded skeletons implement the data access over dense, sparse,
 and compressed matrices — depending on sparse-safeness over cells or
-non-zero values — and call the generated ``genexec`` per tile / row /
-non-zero batch.  Generated operators only override ``genexec``, which
-keeps them lean; the skeletons own tiling (the cache-blocking/ring
-buffer analogue), aggregation, and output assembly.
+non-zero values — and call the generated code per tile / row /
+non-zero batch.  Generated operators only override ``genexec`` (plus
+the whole-value ``genkernel`` of :mod:`repro.codegen.npgen`), which
+keeps them lean; the skeletons own tiling, aggregation, and output
+assembly.
+
+Dispatch is one table, :data:`_DRIVERS`, keyed by ``(template, main
+format)``.  Each entry names the *interpreted* driver (loops around
+``genexec``: the differential oracle and the fallback) and the
+*compiled* driver (around the operator's vectorized kernel):
+
+* Cell/MAgg over dense: row tiles vs one whole-array ``genkernel`` call
+  with the aggregation folded in (einsum when eligible),
+* Cell/MAgg over CSR (sparse-safe plans): one driver for both tiers,
+  ``genexec`` over non-zero batches bounded by a cell budget,
+* Cell/MAgg over compressed (dictionary-direct plans, Figure 9): one
+  driver for both tiers, ``genexec`` over each column's distinct values
+  combined with their counts,
+* Row over dense/CSR: row tiles vs one whole-block ``genkernel`` call
+  (run on the CSR directly only when the body is CSR-main-safe),
+* Outer over dense/CSR: per-row ``genexec`` vs batched row ranges with
+  the U/V/W products folded into block matmuls.
+
+CSR mains of Cell plans that are not sparse-safe read densely, and
+compressed mains outside the dictionary-direct conditions decompress
+to dense first.  Element-wise and row-aligned kernels reproduce the
+interpreted results bit-identically; kernels that reassociate an
+aggregation (whole-array sums, einsum) match within
+:data:`KERNEL_COMPARE_RTOL`.
 
 Large operators additionally execute *intra-operator parallel*: the
 main input splits into a fixed number of row partitions (dense slices,
@@ -32,6 +57,19 @@ from repro.runtime.parallel import run_tasks
 from repro.runtime.sideinput import SideInput
 
 _TILE_CELLS = 1 << 18
+
+#: Cell budget of the non-zero batches (Cell over CSR) and of the
+#: batched Outer driver's row ranges, where a batch holds roughly this
+#: many (nnz x rank) gather cells.
+_KERNEL_CHUNK_CELLS = 1 << 22
+
+#: Relative tolerance for compiled-vs-interpreted comparisons where the
+#: vectorized kernel reassociates an aggregation (whole-array einsum/sum
+#: vs the tile-loop combine chain).  Order-preserving kernels
+#: (element-wise, row-wise) are compared exactly.
+KERNEL_COMPARE_RTOL = 1e-9
+
+_CELL_TEMPLATES = (TemplateType.CELL, TemplateType.MAGG)
 
 #: Output variants whose partition-wise results are row-aligned with the
 #: main input — the distributed backend keeps them as a BlockedMatrix.
@@ -141,16 +179,12 @@ def execute_operator(operator, inputs: list, config, stats=None,
     serial skeletons — the distributed backend sets it for its
     per-partition calls so partitions never nest another fan-out.
     """
-    from repro.runtime import npexec
-
     cplan = operator.cplan
     if stats is not None:
         stats.record_spoof(cplan.ttype.value)
     inputs = _consult_observed_sparsity(cplan, inputs, config, stats)
-    if stats is not None and isinstance(
-        inputs[cplan.main_index] if 0 <= cplan.main_index < len(inputs) else None,
-        CompressedMatrix,
-    ):
+    if stats is not None and isinstance(_main_of(cplan, inputs),
+                                        CompressedMatrix):
         # Dictionary-compatible plans run over distinct values only;
         # everything else decompresses inside the skeleton below.
         if compressed_cell_eligible(cplan):
@@ -169,10 +203,10 @@ def execute_operator(operator, inputs: list, config, stats=None,
             inputs = list(inputs)
             inputs[idx] = value.decompress()
     # Tier resolution happens once, before partitioning, so every
-    # intra-op partition of this execution runs the same backend and
+    # intra-op partition of this execution runs the same driver and
     # the run counters count one execution each.
-    kernel = npexec.resolve_kernel(operator, config, stats)
-    if kernel is not None and not npexec.kernel_supported(kernel, cplan, inputs):
+    kernel = resolve_kernel(operator, config, stats)
+    if kernel is not None and not _kernel_supported(kernel, cplan, inputs):
         kernel = None
     if stats is not None:
         if kernel is not None:
@@ -180,7 +214,7 @@ def execute_operator(operator, inputs: list, config, stats=None,
         else:
             stats.n_interpreted_runs += 1
     tracer = stats.tracer if stats is not None else obs_trace.NULL_TRACER
-    tier = _tier_name(kernel)
+    tier = "interpreted" if kernel is None else "kernel"
     if tracer.level >= obs_trace.INSTRUCTIONS:
         # Enrich the executor's enclosing instruction span (same
         # thread) with what the profiler attributes per operator.
@@ -193,29 +227,94 @@ def execute_operator(operator, inputs: list, config, stats=None,
             if plan is not None:
                 return _execute_intra_op(operator, plan, config, stats,
                                          kernel=kernel)
-        return _execute_serial(operator, inputs, config, kernel=kernel)
+        return _execute_serial(operator, inputs, kernel=kernel)
 
 
-def _tier_name(kernel) -> str:
-    """The execution tier a resolved kernel implies."""
-    if kernel is None:
-        return "interpreted"
-    if getattr(kernel, "numba_entry", None) is not None \
-            and not getattr(kernel, "numba_failed", False):
-        return "numba"
-    return "kernel"
+def resolve_kernel(operator, config, stats=None):
+    """The operator's compiled kernel, compiled on first use.
+
+    Returns ``None`` — stay interpreted — when ``vectorized_kernels``
+    is off or an earlier compile of this operator failed (a failure
+    pins the operator to the interpreted tier permanently).  The kernel
+    lands on the shared :class:`~repro.codegen.pygen.GeneratedOperator`,
+    so every program, serving specialization, and adaptive recompile
+    that reuses the operator through the plan cache shares one compiled
+    kernel.
+    """
+    if not config.vectorized_kernels:
+        return None
+    with operator.lock:
+        if operator.kernel is not None:
+            return operator.kernel
+        if operator.kernel_failed:
+            return None
+        from repro.codegen.npgen import compile_kernel
+
+        tracer = (stats.tracer if stats is not None
+                  else obs_trace.NULL_TRACER)
+        try:
+            with tracer.span("kernel-compile", cat="kernel",
+                             op=operator.name,
+                             template=operator.cplan.ttype.value):
+                kernel = compile_kernel(operator.cplan, config, stats)
+        except Exception:
+            operator.kernel_failed = True
+            if stats is not None:
+                stats.n_kernel_failures += 1
+            return None
+        operator.kernel = kernel
+    if stats is not None:
+        stats.n_kernel_compiles += 1
+    return kernel
+
+
+def _main_of(cplan: CPlan, inputs: list):
+    """The operator's main input value, or None without one."""
+    if 0 <= cplan.main_index < len(inputs):
+        return inputs[cplan.main_index]
+    return None
 
 
 def _main_input_format(cplan: CPlan, inputs: list) -> str:
     """Storage format of the operator's main input."""
-    if not 0 <= cplan.main_index < len(inputs):
-        return "scalar"
-    main = inputs[cplan.main_index]
+    main = _main_of(cplan, inputs)
     if isinstance(main, CompressedMatrix):
         return "compressed"
     if isinstance(main, MatrixBlock):
         return "csr" if main.is_sparse else "dense"
     return "scalar"
+
+
+def _dispatch_format(cplan: CPlan, main) -> str:
+    """The main-format half of the :data:`_DRIVERS` key.
+
+    Compressed mains stay compressed only for dictionary-direct plans
+    (everything else decompresses to dense), and CSR mains of Cell
+    plans that are not sparse-safe read densely.
+    """
+    if isinstance(main, CompressedMatrix):
+        return "compressed" if compressed_cell_eligible(cplan) else "dense"
+    if not isinstance(main, MatrixBlock):
+        raise RuntimeExecError(
+            f"{cplan.ttype.value} operator without matrix main input"
+        )
+    if main.is_sparse and (cplan.sparse_safe
+                           or cplan.ttype not in _CELL_TEMPLATES):
+        return "csr"
+    return "dense"
+
+
+def _kernel_supported(kernel, cplan: CPlan, inputs: list) -> bool:
+    """Whether the compiled driver can execute these runtime inputs.
+
+    Decided once per operator execution — before partitioning — so all
+    intra-op partitions run the same tier.  The one unsupported cell of
+    the table is a CSR Row main whose body is not CSR-main-safe: it
+    runs the interpreted tiles, which densify one tile at a time.
+    """
+    fmt = _dispatch_format(cplan, _main_of(cplan, inputs))
+    return not (cplan.ttype is TemplateType.ROW and fmt == "csr"
+                and not kernel.csr_main_safe)
 
 
 def _consult_observed_sparsity(cplan: CPlan, inputs: list, config,
@@ -231,9 +330,7 @@ def _consult_observed_sparsity(cplan: CPlan, inputs: list, config,
     """
     if not (config.adaptive_recompile and cplan.sparse_safe):
         return inputs
-    if not 0 <= cplan.main_index < len(inputs):
-        return inputs
-    main = inputs[cplan.main_index]
+    main = _main_of(cplan, inputs)
     if not isinstance(main, MatrixBlock) or main.is_sparse:
         return inputs
     fmt = recommend_format(
@@ -248,48 +345,35 @@ def _consult_observed_sparsity(cplan: CPlan, inputs: list, config,
     return inputs
 
 
-def _execute_serial(operator, inputs: list, config, kernel=None):
-    """Dispatch to the single-threaded skeleton for the template.
+def _execute_serial(operator, inputs: list, kernel=None):
+    """Run one (partition of an) operator through the driver table.
 
-    With a resolved ``kernel`` the whole-value driver of
-    :mod:`repro.runtime.npexec` runs instead of the tile loops; a
+    With a resolved ``kernel`` the entry's compiled driver runs; a
     driver failure pins the operator back to the interpreted tier and
     re-executes these inputs interpreted (same inputs, same result
     contract), so a kernel bug can never fail a run the interpreted
     skeletons would have completed.
     """
     cplan = operator.cplan
+    main = _main_of(cplan, inputs)
+    fmt = _dispatch_format(cplan, main)
+    if fmt == "dense" and isinstance(main, CompressedMatrix):
+        inputs = list(inputs)
+        inputs[cplan.main_index] = main.decompress()
+    interpreted, compiled = _DRIVERS[(cplan.ttype, fmt)]
     if kernel is not None:
-        from repro.runtime import npexec
-
         try:
-            return npexec.execute_kernel(operator, kernel, inputs, config)
+            return compiled(operator, inputs, kernel)
         except Exception:
             with operator.lock:
                 operator.kernel = None
                 operator.kernel_failed = True
-    if cplan.ttype in (TemplateType.CELL, TemplateType.MAGG):
-        return _execute_cellwise(operator, inputs, config)
-    if cplan.ttype is TemplateType.ROW:
-        return _execute_rowwise(operator, inputs, config)
-    if cplan.ttype is TemplateType.OUTER:
-        return _execute_outer(operator, inputs, config)
-    raise RuntimeExecError(f"unknown template {cplan.ttype}")
+    return interpreted(operator, inputs)
 
 
 # ----------------------------------------------------------------------
 # Intra-operator parallel execution
 # ----------------------------------------------------------------------
-def _compressed_cell_compatible(cplan: CPlan, inputs: list) -> bool:
-    """Dictionary-only execution guard (Figure 9 conditions).
-
-    Delegates to :func:`repro.codegen.cplan.compressed_cell_eligible`
-    — a static plan property shared with npgen's compressed-kernel
-    emission; ``inputs`` is kept for signature compatibility.
-    """
-    return compressed_cell_eligible(cplan)
-
-
 def _plan_intra_op(cplan: CPlan, inputs: list, config):
     """Per-partition input lists, or None when serial execution wins.
 
@@ -306,7 +390,7 @@ def _plan_intra_op(cplan: CPlan, inputs: list, config):
     if isinstance(main, CompressedMatrix):
         if main.rows * main.cols < config.intra_op_min_cells:
             return None
-        if _compressed_cell_compatible(cplan, inputs):
+        if compressed_cell_eligible(cplan):
             return _plan_group_partitions(main, inputs, main_index, n_parts)
         if main.rows < 2 * n_parts:
             return None  # gate on metadata before materializing anything
@@ -323,7 +407,6 @@ def _plan_intra_op(cplan: CPlan, inputs: list, config):
     bounds = partition_bounds(rows, n_parts)
     if len(bounds) < 2:
         return None
-    inputs = decompress_side_inputs(cplan, inputs, rows)
     if main.is_sparse:
         csr = main.to_csr()
         main_parts = [MatrixBlock(csr[r0:r1]) for r0, r1 in bounds]
@@ -349,7 +432,7 @@ def _plan_group_partitions(main: CompressedMatrix, inputs: list,
                            main_index: int, n_parts: int):
     """Split a compressed main input by column groups.
 
-    Valid only under :func:`_compressed_cell_compatible` (sum-aggregated
+    Valid only under :func:`compressed_cell_eligible` (sum-aggregated
     sparse-safe cell plans without side inputs): each partition sums its
     groups' dictionary contributions independently, and the per-group
     sums add up to the full result exactly as the serial group loop
@@ -388,7 +471,7 @@ def _execute_intra_op(operator, part_inputs: list, config, stats,
     cplan = operator.cplan
     tasks = [
         (lambda values: lambda: _execute_serial(
-            operator, values, config, kernel=kernel))(pv)
+            operator, values, kernel=kernel))(pv)
         for pv in part_inputs
     ]
     partials, workers = run_tasks(
@@ -421,20 +504,19 @@ def _concat_row_partials(partials: list) -> MatrixBlock:
     return MatrixBlock(stacked).examine_representation()
 
 
-def decompress_side_inputs(cplan: CPlan, values: list, main_rows: int,
-                           row_aligned_only: bool = False) -> list:
-    """Decompress compressed side inputs ahead of partitioning.
+def decompress_side_inputs(cplan: CPlan, values: list,
+                           main_rows: int) -> list:
+    """Decompress the row-aligned compressed side inputs.
 
     Compressed blocks cannot be row-sliced, so a *row-aligned*
     compressed side MUST decompress before partition-wise execution —
     otherwise :func:`sliceable_spoof_inputs` skips it and every
     partition reads rows ``[0, len)`` of the full side through
-    partition-local indices.  The local partitioner decompresses every
-    compressed side once up front (``row_aligned_only=False`` — cheaper
-    than the serial skeletons decompressing inside each partition); the
-    distributed path keeps non-aligned sides compressed
-    (``row_aligned_only=True``) since it charges broadcast traffic for
-    the compressed representation.
+    partition-local indices.  The distributed path calls this and keeps
+    non-aligned sides compressed, since it charges broadcast traffic
+    for the compressed representation; the local partitioner never
+    sees compressed sides (:func:`execute_operator` decompresses them
+    first).
     """
     normalized = list(values)
     for idx, (spec, value) in enumerate(zip(cplan.inputs, normalized)):
@@ -442,11 +524,8 @@ def decompress_side_inputs(cplan: CPlan, values: list, main_rows: int,
             continue
         if not isinstance(value, CompressedMatrix):
             continue
-        row_aligned = (
-            value.rows == main_rows > 1
-            or idx in (cplan.u_index, cplan.w_index)
-        )
-        if row_aligned or not row_aligned_only:
+        if value.rows == main_rows > 1 or idx in (cplan.u_index,
+                                                  cplan.w_index):
             normalized[idx] = value.decompress()
     return normalized
 
@@ -505,6 +584,21 @@ def _tile_rows(rows: int, cols: int) -> int:
     return max(16, min(rows, _TILE_CELLS // max(1, cols)))
 
 
+def _csr_row_chunks(indptr, rows: int, budget_nnz: int):
+    """Row ranges whose non-zero counts fit the cell budget.
+
+    A single row larger than the budget forms its own chunk, so the
+    generator always advances.
+    """
+    r0 = 0
+    while r0 < rows:
+        target = indptr[r0] + budget_nnz
+        r1 = int(np.searchsorted(indptr, target, side="left"))
+        r1 = min(rows, max(r1, r0 + 1))
+        yield r0, r1, int(indptr[r0]), int(indptr[r1])
+        r0 = r1
+
+
 def _combine(acc, value, agg: str):
     if acc is None:
         return value
@@ -518,23 +612,8 @@ def _combine(acc, value, agg: str):
 
 
 # ----------------------------------------------------------------------
-# Cell / MultiAgg skeleton
+# Cell / MultiAgg drivers
 # ----------------------------------------------------------------------
-def _execute_cellwise(operator, inputs, config):
-    cplan = operator.cplan
-    main, sides, scalars = _split_inputs(cplan, inputs)
-    if main is None:
-        raise RuntimeExecError("cell operator without main input")
-
-    if isinstance(main, CompressedMatrix):
-        if _compressed_cell_compatible(cplan, inputs):
-            return _execute_cell_compressed(operator, main, sides, scalars)
-        main = main.decompress()
-    if main.is_sparse and cplan.sparse_safe:
-        return _execute_cell_sparse(operator, main, sides, scalars)
-    return _execute_cell_dense(operator, main, sides, scalars)
-
-
 def _cell_finalize(cplan: CPlan, accs, out):
     if cplan.out_type is OutType.NO_AGG:
         return MatrixBlock(out).examine_representation()
@@ -549,8 +628,10 @@ def _cell_finalize(cplan: CPlan, accs, out):
     raise RuntimeExecError(f"bad cell out type {cplan.out_type}")
 
 
-def _execute_cell_dense(operator, main: MatrixBlock, sides, scalars):
+def _cell_tiles(operator, inputs):
+    """Interpreted dense Cell/MAgg: ``genexec`` per row tile."""
     cplan = operator.cplan
+    main, sides, scalars = _split_inputs(cplan, inputs)
     rows, cols = main.shape
     arr = main.to_dense()
     side_inputs = [SideInput(v) for (_, v) in sides]
@@ -588,73 +669,97 @@ def _execute_cell_dense(operator, main: MatrixBlock, sides, scalars):
     return _cell_finalize(cplan, accs, out)
 
 
-def _execute_cell_sparse(operator, main: MatrixBlock, sides, scalars):
-    """Sparse-safe execution over non-zero cells only."""
+def _cell_kernel(operator, inputs, kernel):
+    """Compiled dense Cell/MAgg: one whole-array ``genkernel`` call."""
+    cplan = operator.cplan
+    main, sides, scalars = _split_inputs(cplan, inputs)
+    side_tiles = [SideInput(v).row_tile(0, main.rows) for (_, v) in sides]
+    raw = kernel.entry(main.to_dense(), side_tiles, scalars)
+
+    out = cplan.out_type
+    if out is OutType.NO_AGG:
+        return MatrixBlock(raw).examine_representation()
+    if out is OutType.FULL_AGG:
+        return float(raw)
+    if out in (OutType.ROW_AGG, OutType.COL_AGG, OutType.MULTI_AGG):
+        return MatrixBlock(np.asarray(raw))
+    raise RuntimeExecError(f"bad cell out type {out}")
+
+
+def _cell_sparse(operator, inputs, kernel=None):
+    """Sparse-safe Cell/MAgg over batched non-zero gathers (both tiers).
+
+    The body evaluates once per batch of whole rows holding at most
+    :data:`_KERNEL_CHUNK_CELLS` non-zeros; outputs assemble through
+    ``bincount`` / CSR rebuilds.
+    """
     import scipy.sparse as sp
 
     cplan = operator.cplan
+    main, sides, scalars = _split_inputs(cplan, inputs)
     csr = main.to_csr()
     rows, cols = csr.shape
     side_inputs = [SideInput(v) for (_, v) in sides]
-    bs = _tile_rows(rows, max(1, csr.nnz // max(1, rows)))
 
-    accs = [None] * max(1, len(cplan.roots))
-    out_data = np.empty(csr.nnz) if cplan.out_type is OutType.NO_AGG else None
-    row_out = (
-        np.zeros((rows, 1)) if cplan.out_type is OutType.ROW_AGG else None
-    )
-    col_acc = (
-        np.zeros(cols) if cplan.out_type is OutType.COL_AGG else None
-    )
+    out = cplan.out_type
+    accs = [0.0] * max(1, len(cplan.roots))
+    out_data = np.empty(csr.nnz) if out is OutType.NO_AGG else None
+    row_out = np.zeros((rows, 1)) if out is OutType.ROW_AGG else None
+    col_acc = np.zeros(cols) if out is OutType.COL_AGG else None
 
-    indptr = csr.indptr
-    for r0 in range(0, rows, bs):
-        r1 = min(rows, r0 + bs)
-        lo, hi = indptr[r0], indptr[r1]
+    indptr, indices, data = csr.indptr, csr.indices, csr.data
+    for r0, r1, lo, hi in _csr_row_chunks(indptr, rows, _KERNEL_CHUNK_CELLS):
         if hi == lo:
             continue
-        values = csr.data[lo:hi]
-        col_idx = csr.indices[lo:hi]
-        row_idx = np.repeat(
-            np.arange(r0, r1), np.diff(indptr[r0 : r1 + 1])
-        )
+        values = data[lo:hi]
+        col_idx = indices[lo:hi]
+        row_idx = np.repeat(np.arange(r0, r1), np.diff(indptr[r0:r1 + 1]))
         side_vals = [s.gather(row_idx, col_idx) for s in side_inputs]
         value = operator.genexec(values, side_vals, scalars)
-        if cplan.out_type is OutType.NO_AGG:
+        if out is OutType.NO_AGG:
             out_data[lo:hi] = value
-        elif cplan.out_type is OutType.ROW_AGG:
+        elif out is OutType.ROW_AGG:
             row_out[r0:r1, 0] += np.bincount(
-                row_idx - r0, weights=np.broadcast_to(value, values.shape), minlength=r1 - r0
+                row_idx - r0,
+                weights=np.broadcast_to(value, values.shape),
+                minlength=r1 - r0,
             )
-        elif cplan.out_type is OutType.COL_AGG:
+        elif out is OutType.COL_AGG:
             col_acc += np.bincount(
-                col_idx, weights=np.broadcast_to(value, values.shape), minlength=cols
+                col_idx,
+                weights=np.broadcast_to(value, values.shape),
+                minlength=cols,
             )
-        elif cplan.out_type is OutType.FULL_AGG:
-            accs[0] = _combine(accs[0], float(np.sum(value)), "sum")
+        elif out is OutType.FULL_AGG:
+            accs[0] += float(np.sum(value))
         else:  # MULTI_AGG
             for k, part in enumerate(value):
-                accs[k] = _combine(accs[k], float(np.sum(part)), "sum")
+                accs[k] += float(np.sum(part))
 
-    if cplan.out_type is OutType.NO_AGG:
-        result = sp.csr_matrix((out_data, csr.indices.copy(), csr.indptr.copy()), shape=csr.shape)
+    if out is OutType.NO_AGG:
+        result = sp.csr_matrix(
+            (out_data, indices.copy(), indptr.copy()), shape=csr.shape
+        )
         return MatrixBlock(result).examine_representation()
-    if cplan.out_type is OutType.ROW_AGG:
+    if out is OutType.ROW_AGG:
         return MatrixBlock(row_out)
-    if cplan.out_type is OutType.COL_AGG:
+    if out is OutType.COL_AGG:
         return MatrixBlock(col_acc.reshape(1, -1))
-    if cplan.out_type is OutType.FULL_AGG:
-        return float(accs[0] or 0.0)
-    return MatrixBlock(np.array([[float(a or 0.0)] for a in accs]))
+    if out is OutType.FULL_AGG:
+        return accs[0]
+    return MatrixBlock(np.array([[a] for a in accs]))
 
 
-def _execute_cell_compressed(operator, main: CompressedMatrix, sides, scalars):
-    """Execute over distinct dictionary values only (Figure 9).
+def _cell_compressed(operator, inputs, kernel=None):
+    """Dictionary-direct Cell/MAgg over distinct values (both tiers).
 
-    Valid for sparse-safe, single-input, sum-aggregated cell plans;
-    the caller routes other plans through decompression.
+    Valid for sparse-safe, side-input-free, sum-aggregated cell plans
+    (:func:`compressed_cell_eligible`, Figure 9): each column member's
+    distinct values run through ``genexec`` once and combine with their
+    counts.
     """
     cplan = operator.cplan
+    main, _, scalars = _split_inputs(cplan, inputs)
     accs = [0.0] * max(1, len(cplan.roots))
     for values, counts in main.iter_distinct():
         result = operator.genexec(values, [], scalars)
@@ -667,20 +772,22 @@ def _execute_cell_compressed(operator, main: CompressedMatrix, sides, scalars):
 
 
 # ----------------------------------------------------------------------
-# Row skeleton
+# Row drivers
 # ----------------------------------------------------------------------
-def _execute_rowwise(operator, inputs, config):
+def _row_side_tiles(handles, r0: int, r1: int) -> list:
+    return [
+        handle.dense() if spec.access is Access.SIDE_FULL
+        else handle.row_tile(r0, r1)
+        for (spec, handle) in handles
+    ]
+
+
+def _row_tiles(operator, inputs):
+    """Interpreted Row: ``genexec`` per dense row tile."""
     cplan = operator.cplan
     main, sides, scalars = _split_inputs(cplan, inputs)
-    if main is None:
-        raise RuntimeExecError("row operator without main input")
-    if isinstance(main, CompressedMatrix):
-        main = main.decompress()
     rows, cols = main.shape
-    side_handles = [
-        (spec, SideInput(v if not isinstance(v, CompressedMatrix) else v.decompress()))
-        for (spec, v) in sides
-    ]
+    handles = [(spec, SideInput(v)) for (spec, v) in sides]
     bs = _tile_rows(rows, cols)
     agg = cplan.agg_ops[0] if cplan.agg_ops else "sum"
 
@@ -698,11 +805,8 @@ def _execute_rowwise(operator, inputs, config):
             tile = dense_main[r0:r1]
         else:
             tile = np.asarray(csr[r0:r1].todense())
-        side_tiles = [
-            handle.dense() if spec.access is Access.SIDE_FULL else handle.row_tile(r0, r1)
-            for (spec, handle) in side_handles
-        ]
-        value = operator.genexec(tile, side_tiles, scalars)
+        value = operator.genexec(tile, _row_side_tiles(handles, r0, r1),
+                                 scalars)
         if cplan.out_type in (OutType.NO_AGG, OutType.ROW_AGG):
             if out is None:
                 width = 1 if cplan.out_type is OutType.ROW_AGG else np.shape(value)[-1]
@@ -723,33 +827,58 @@ def _execute_rowwise(operator, inputs, config):
     return MatrixBlock(result).examine_representation()
 
 
-# ----------------------------------------------------------------------
-# Outer-product skeleton
-# ----------------------------------------------------------------------
-def _execute_outer(operator, inputs, config):
-    import scipy.sparse as sp
+def _row_kernel(operator, inputs, kernel):
+    """Compiled Row: one whole-block ``genkernel`` call.
 
+    A CSR main reaches this driver only for CSR-main-safe bodies (the
+    main feeds matmuls only), so the kernel runs on the CSR directly
+    without densifying.
+    """
     cplan = operator.cplan
+    main, sides, scalars = _split_inputs(cplan, inputs)
+    handles = [(spec, SideInput(v)) for (spec, v) in sides]
+    a = main.to_csr() if main.is_sparse else main.to_dense()
+    raw = kernel.entry(a, _row_side_tiles(handles, 0, main.rows), scalars)
+
+    out = cplan.out_type
+    if out in (OutType.NO_AGG, OutType.ROW_AGG):
+        return MatrixBlock(raw).examine_representation()
+    if out is OutType.FULL_AGG:
+        return float(raw)
+    if out in (OutType.COL_AGG, OutType.COL_AGG_T):
+        return MatrixBlock(np.asarray(raw)).examine_representation()
+    raise RuntimeExecError(f"bad row out type {out}")
+
+
+# ----------------------------------------------------------------------
+# Outer-product drivers
+# ----------------------------------------------------------------------
+def _outer_operands(cplan: CPlan, inputs: list):
+    """Split an Outer operator's inputs for either driver.
+
+    Returns ``(driver, U, V, W, sides, scalars, acc)``: the main input,
+    dense U and V (V as columns x rank, transposed back when the plan
+    reads ``t(V)``), dense W or None, the remaining side inputs as
+    :class:`SideInput` handles, the scalars, and the zeroed
+    accumulator of the aggregating out types (None for OUTER_NO_AGG).
+    """
     driver = inputs[cplan.main_index]
-    if isinstance(driver, CompressedMatrix):
-        driver = driver.decompress()
-    u_arr = _dense_of(inputs[cplan.u_index])
-    v_arr = _dense_of(inputs[cplan.v_index])
+    u_arr = inputs[cplan.u_index].to_dense()
+    v_arr = inputs[cplan.v_index].to_dense()
     if cplan.v_transposed:
         v_arr = np.ascontiguousarray(v_arr.T)
-    w_arr = _dense_of(inputs[cplan.w_index]) if cplan.w_index >= 0 else None
+    w_arr = inputs[cplan.w_index].to_dense() if cplan.w_index >= 0 else None
 
-    side_handles = []
+    sides = []
     scalars: list[float] = []
     for idx, (spec, value) in enumerate(zip(cplan.inputs, inputs)):
-        if idx in (cplan.main_index, cplan.u_index, cplan.v_index, cplan.w_index):
+        if idx in (cplan.main_index, cplan.u_index, cplan.v_index,
+                   cplan.w_index):
             continue
         if spec.access is Access.SCALAR:
             scalars.append(_as_float(value))
         else:
-            side_handles.append(
-                SideInput(value if not isinstance(value, CompressedMatrix) else value.decompress())
-            )
+            sides.append(SideInput(value))
 
     rows, cols = driver.shape
     out_type = cplan.out_type
@@ -761,6 +890,24 @@ def _execute_outer(operator, inputs, config):
         acc = np.zeros((cols, w_arr.shape[1]))
     else:  # OUTER_NO_AGG
         acc = None
+    return driver, u_arr, v_arr, w_arr, sides, scalars, acc
+
+
+def _outer_agg_result(out_type: OutType, acc):
+    if out_type is OutType.OUTER_FULL_AGG:
+        return float(acc)
+    return MatrixBlock(acc).examine_representation()
+
+
+def _outer_rows(operator, inputs):
+    """Interpreted Outer: one ``genexec`` call per row."""
+    import scipy.sparse as sp
+
+    cplan = operator.cplan
+    driver, u_arr, v_arr, w_arr, side_handles, scalars, acc = \
+        _outer_operands(cplan, inputs)
+    rows, cols = driver.shape
+    out_type = cplan.out_type
 
     if driver.is_sparse:
         csr = driver.to_csr()
@@ -809,13 +956,111 @@ def _execute_outer(operator, inputs, config):
                 out_dense[i] = w_vals
         if out_type is OutType.OUTER_NO_AGG:
             return MatrixBlock(out_dense).examine_representation()
-
-    if out_type is OutType.OUTER_FULL_AGG:
-        return float(acc)
-    return MatrixBlock(acc).examine_representation()
+    return _outer_agg_result(out_type, acc)
 
 
-def _dense_of(value) -> np.ndarray:
-    if isinstance(value, CompressedMatrix):
-        return value.decompress().to_dense()
-    return value.to_dense()
+def _outer_batched(operator, inputs, kernel):
+    """Compiled Outer over batched row ranges.
+
+    Each batch evaluates ``uv`` for all its non-zeros in one einsum,
+    runs the kernel body once, and folds the W-side accumulation into a
+    block matmul (chunk-CSR ``S @ W`` / ``S.T @ W`` for sparse drivers).
+    """
+    import scipy.sparse as sp
+
+    cplan = operator.cplan
+    driver, u_arr, v_arr, w_arr, side_handles, scalars, acc = \
+        _outer_operands(cplan, inputs)
+    rows, cols = driver.shape
+    rank = max(1, u_arr.shape[1])
+    budget = max(1024, _KERNEL_CHUNK_CELLS // rank)
+    out_type = cplan.out_type
+    genk = kernel.entry
+
+    if driver.is_sparse:
+        csr = driver.to_csr()
+        indptr, indices, data = csr.indptr, csr.indices, csr.data
+        out_data = (
+            np.empty(csr.nnz) if out_type is OutType.OUTER_NO_AGG else None
+        )
+        for r0, r1, lo, hi in _csr_row_chunks(indptr, rows, budget):
+            if hi == lo:
+                continue
+            col_idx = indices[lo:hi]
+            row_idx = np.repeat(
+                np.arange(r0, r1), np.diff(indptr[r0:r1 + 1])
+            )
+            xv = data[lo:hi]
+            uv = np.einsum("ij,ij->i", u_arr[row_idx], v_arr[col_idx])
+            side_vals = [s.gather(row_idx, col_idx) for s in side_handles]
+            w_vals = np.broadcast_to(genk(xv, uv, side_vals, scalars),
+                                     xv.shape)
+            if out_type is OutType.OUTER_FULL_AGG:
+                acc += float(np.sum(w_vals))
+            elif out_type is OutType.OUTER_RIGHT:
+                chunk = sp.csr_matrix(
+                    (np.ascontiguousarray(w_vals), col_idx,
+                     indptr[r0:r1 + 1] - lo),
+                    shape=(r1 - r0, cols),
+                )
+                acc[r0:r1] = chunk @ w_arr
+            elif out_type is OutType.OUTER_LEFT:
+                chunk = sp.csr_matrix(
+                    (np.ascontiguousarray(w_vals), col_idx,
+                     indptr[r0:r1 + 1] - lo),
+                    shape=(r1 - r0, cols),
+                )
+                acc += chunk.T @ w_arr[r0:r1]
+            else:
+                out_data[lo:hi] = w_vals
+        if out_type is OutType.OUTER_NO_AGG:
+            result = sp.csr_matrix(
+                (out_data, indices.copy(), indptr.copy()), shape=(rows, cols)
+            )
+            return MatrixBlock(result).examine_representation()
+    else:
+        arr = driver.to_dense()
+        v_t = v_arr.T
+        bs = max(16, budget // max(1, cols))
+        out_dense = (
+            np.empty((rows, cols)) if out_type is OutType.OUTER_NO_AGG
+            else None
+        )
+        for r0 in range(0, rows, bs):
+            r1 = min(rows, r0 + bs)
+            xv = arr[r0:r1]
+            uv = u_arr[r0:r1] @ v_t
+            side_vals = [s.row_tile(r0, r1) for s in side_handles]
+            w_vals = np.broadcast_to(genk(xv, uv, side_vals, scalars),
+                                     xv.shape)
+            if out_type is OutType.OUTER_FULL_AGG:
+                acc += float(np.sum(w_vals))
+            elif out_type is OutType.OUTER_RIGHT:
+                acc[r0:r1] = w_vals @ w_arr
+            elif out_type is OutType.OUTER_LEFT:
+                acc += w_vals.T @ w_arr[r0:r1]
+            else:
+                out_dense[r0:r1] = w_vals
+        if out_type is OutType.OUTER_NO_AGG:
+            return MatrixBlock(out_dense).examine_representation()
+    return _outer_agg_result(out_type, acc)
+
+
+#: ``(template, main format) -> (interpreted driver, compiled driver)``.
+#: Interpreted drivers take ``(operator, inputs)``, compiled ones
+#: ``(operator, inputs, kernel)``; one function fills both slots where
+#: both tiers run the same arithmetic.  MAgg shares the Cell drivers.
+_DRIVERS = {
+    (TemplateType.CELL, "dense"): (_cell_tiles, _cell_kernel),
+    (TemplateType.CELL, "csr"): (_cell_sparse, _cell_sparse),
+    (TemplateType.CELL, "compressed"): (_cell_compressed, _cell_compressed),
+    (TemplateType.ROW, "dense"): (_row_tiles, _row_kernel),
+    (TemplateType.ROW, "csr"): (_row_tiles, _row_kernel),
+    (TemplateType.OUTER, "dense"): (_outer_rows, _outer_batched),
+    (TemplateType.OUTER, "csr"): (_outer_rows, _outer_batched),
+}
+_DRIVERS.update({
+    (TemplateType.MAGG, fmt): drivers
+    for (ttype, fmt), drivers in list(_DRIVERS.items())
+    if ttype is TemplateType.CELL
+})

@@ -108,10 +108,8 @@ class RuntimeStats:
 
     # Tiered vectorized-kernel backend for generated fused operators.
     n_kernel_compiles: int = 0  # vectorized kernels emitted and compiled
-    n_kernel_promotions: int = 0  # hot operators promoted off the interpreted tier
     n_interpreted_runs: int = 0  # operator executions on the interpreted tier
     n_compiled_runs: int = 0  # operator executions on a compiled kernel
-    n_numba_fallbacks: int = 0  # numba requested but unavailable/unjittable
     n_kernel_failures: int = 0  # kernel compiles that failed (operator pinned interpreted)
     n_source_cache_hits: int = 0  # exec() compiles skipped via the source-hash cache
 
@@ -314,10 +312,8 @@ class RuntimeStats:
         runs = self.n_interpreted_runs + self.n_compiled_runs
         return {
             "n_kernel_compiles": self.n_kernel_compiles,
-            "n_kernel_promotions": self.n_kernel_promotions,
             "n_interpreted_runs": self.n_interpreted_runs,
             "n_compiled_runs": self.n_compiled_runs,
-            "n_numba_fallbacks": self.n_numba_fallbacks,
             "n_kernel_failures": self.n_kernel_failures,
             "n_source_cache_hits": self.n_source_cache_hits,
             "compiled_run_fraction": self.n_compiled_runs / max(runs, 1),

@@ -195,13 +195,11 @@ class SessionScheduler:
             # Hold one process-wide budget token while executing: the
             # executor pool and intra-op workers the request fans out
             # into draw from the same budget, so nested parallelism
-            # degrades instead of oversubscribing (minimum=1 keeps the
-            # worker live even when the budget is exhausted).
+            # degrades instead of oversubscribing.  An exhausted budget
+            # makes the worker wait for another request's runs to
+            # release tokens rather than over-grant.
             budget = shared_budget()
-            token = budget.acquire(
-                1, minimum=1,
-                limit=self.engine.config.thread_budget or None,
-            )
+            budget.acquire_one(limit=self.engine.config.thread_budget or None)
             try:
                 with self.engine.tracer.span("serve-batch", cat="serve",
                                              batch_size=len(batch)):
@@ -211,7 +209,7 @@ class SessionScheduler:
                     if not request.ticket.done():
                         request.ticket._fail(error)
             finally:
-                budget.release(token)
+                budget.release(1)
 
     def _take_batch(self) -> list[_Request]:
         """Pop the head request plus queued batch-mates (cv held)."""

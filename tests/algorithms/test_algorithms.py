@@ -135,6 +135,16 @@ class TestKMeans:
         result = kmeans(data, n_centroids=4, engine=make_engine("gen"), max_iter=10)
         assert result.losses[-1] <= result.losses[0] + 1e-9
 
+    def test_iterates_past_first_pass(self, data):
+        """Regression: the first convergence test compared against the
+        initial inf loss, which always passed, so every fit stopped
+        after one iteration."""
+        result = kmeans(data, n_centroids=4, engine=make_engine("gen"), max_iter=10)
+        assert result.n_outer_iterations > 1
+        assert len(result.losses) >= 2
+        for before, after in zip(result.losses, result.losses[1:]):
+            assert after <= before + 1e-9 * abs(before)
+
     def test_recovers_cluster_structure(self, data):
         result = kmeans(data, n_centroids=4, engine=make_engine("gen"), max_iter=15)
         centroids = result.model["centroids"].to_dense()

@@ -7,6 +7,8 @@ determinism of repeated parallel aggregations, direct unit tests for
 oversubscription guard.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -389,6 +391,24 @@ class TestThreadBudget:
         held = budget.acquire(1)
         assert budget.acquire(4, minimum=1) == 1
         budget.release(held)
+
+    def test_acquire_one_waits_instead_of_overgranting(self):
+        budget = ThreadBudget(total=1)
+        held = budget.acquire(1)
+        taken = threading.Event()
+
+        def take():
+            budget.acquire_one()
+            taken.set()
+
+        waiter = threading.Thread(target=take)
+        waiter.start()
+        assert not taken.wait(timeout=0.2)  # exhausted: blocks
+        budget.release(held)
+        assert taken.wait(timeout=5)
+        waiter.join(timeout=5)
+        assert not waiter.is_alive()
+        assert budget.peak == 1 and budget.active == 1
 
     def test_limit_caps_effective_total(self):
         budget = ThreadBudget(total=8)

@@ -1,43 +1,35 @@
-"""Tiered vectorized-kernel backend: differential grid and promotion.
+"""Compiled vs interpreted tier: differential grid and tier resolution.
 
-Differential grid (template × out-type × main storage × backend)
-asserting that the compiled vectorized kernels reproduce the
-interpreted tile-loop skeletons — exactly for order-preserving kernels,
-within ``kernel_compare_rtol`` where a whole-array aggregation
-reassociates — plus unit tests for the hotness promotion policy, kernel
-sharing through the plan cache and serving specializations, the
-source-hash compile cache, and graceful Numba degradation.
+Differential grid (template × out-type × main storage) asserting that
+the compiled drivers reproduce both the interpreted tile-loop drivers
+and the unfused base interpreter — exactly for order-preserving
+kernels, within ``KERNEL_COMPARE_RTOL`` where a whole-array
+aggregation reassociates.  The base-mode oracle stays independent for
+the table cells where both tiers share one driver.  Plus unit tests for
+compile-on-first-use, failure pinning, kernel sharing through the plan
+cache and serving specializations, and the source-hash compile cache.
 """
 
 import numpy as np
 import pytest
 
 from repro import api
+from repro.codegen import npgen
 from repro.codegen.plan_cache import compile_source
 from repro.compiler.execution import Engine
 from repro.config import CodegenConfig
 from repro.runtime.compressed import compress
 from repro.runtime.matrix import MatrixBlock
+from repro.runtime.skeletons import KERNEL_COMPARE_RTOL
 from repro.runtime.stats import RuntimeStats
 
 ROWS, COLS = 96, 24
-
-try:
-    import numba  # noqa: F401
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-BACKENDS = ["interpreted", "vectorized"] + (["numba"] if HAVE_NUMBA else [])
 
 
 def _engine(backend: str, **kwargs) -> Engine:
     config = CodegenConfig(intra_op_threads=1, **kwargs)
     if backend == "interpreted":
         config.vectorized_kernels = False
-    elif backend == "numba":
-        config.numba_kernels = True
     return Engine(mode="gen", config=config)
 
 
@@ -59,8 +51,27 @@ def _main_block(storage: str) -> object:
     return compress(MatrixBlock(np.round(rng.uniform(0, 3, (ROWS, COLS)))))
 
 
+def _check_grid_cell(build, backend, rtol, atol):
+    """Compiled results against the interpreted tier and base mode."""
+    engine = _engine(backend)
+    compiled = _as_arrays(api.eval_all(build(), engine=engine))
+    oracles = {
+        "interpreted": api.eval_all(build(), engine=_engine("interpreted")),
+        "base": api.eval_all(build(), engine=Engine(mode="base")),
+    }
+    for name, values in oracles.items():
+        for idx, (expected, actual) in enumerate(
+            zip(_as_arrays(values), compiled)
+        ):
+            np.testing.assert_allclose(
+                actual, expected, rtol=rtol, atol=atol,
+                err_msg=f"oracle={name} output={idx}",
+            )
+    return engine
+
+
 # ----------------------------------------------------------------------
-# Differential grid: template × out-type × storage × backend
+# Differential grid: template × out-type × storage
 # ----------------------------------------------------------------------
 _CELL_RECIPES = {
     "no_agg": lambda x, y: [x * y * 2.0],
@@ -87,7 +98,7 @@ _OUTER_RECIPES = {
 }
 
 
-@pytest.mark.parametrize("backend", BACKENDS[1:])
+@pytest.mark.parametrize("backend", ["vectorized"])
 @pytest.mark.parametrize("storage", ["dense", "sparse", "compressed"])
 @pytest.mark.parametrize("out_type", sorted(_CELL_RECIPES))
 def test_cell_grid_compiled_matches_interpreted(out_type, storage, backend):
@@ -99,20 +110,15 @@ def test_cell_grid_compiled_matches_interpreted(out_type, storage, backend):
         y = api.matrix(side, "Y")
         return _CELL_RECIPES[out_type](x, y)
 
-    oracle = _as_arrays(api.eval_all(build(), engine=_engine("interpreted")))
-    engine = _engine(backend)
-    compiled = _as_arrays(api.eval_all(build(), engine=engine))
-    rtol = engine.config.kernel_compare_rtol
-    for expected, actual in zip(oracle, compiled):
-        np.testing.assert_allclose(actual, expected, rtol=rtol, atol=1e-12)
-    # Every storage runs compiled now: dictionary-compatible compressed
-    # plans get the compressed-CELL kernel variant, other compressed
-    # plans decompress inside the kernel driver.
+    engine = _check_grid_cell(build, backend, KERNEL_COMPARE_RTOL, 1e-12)
+    # Every storage runs compiled: dictionary-compatible compressed
+    # plans and sparse-safe CSR plans run the one shared driver,
+    # other compressed plans decompress first.
     summary = engine.stats.kernel_summary()
     assert summary["n_compiled_runs"] >= 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS[1:])
+@pytest.mark.parametrize("backend", ["vectorized"])
 @pytest.mark.parametrize("storage", ["dense", "sparse", "compressed"])
 @pytest.mark.parametrize("out_type", sorted(_ROW_RECIPES))
 def test_row_grid_compiled_matches_interpreted(out_type, storage, backend):
@@ -124,23 +130,21 @@ def test_row_grid_compiled_matches_interpreted(out_type, storage, backend):
         v = api.matrix(vec, "v")
         return _ROW_RECIPES[out_type](x, v)
 
-    oracle = _as_arrays(api.eval_all(build(), engine=_engine("interpreted")))
-    engine = _engine(backend)
-    compiled = _as_arrays(api.eval_all(build(), engine=engine))
-    rtol = engine.config.kernel_compare_rtol
-    for expected, actual in zip(oracle, compiled):
-        np.testing.assert_allclose(actual, expected, rtol=rtol, atol=1e-12)
+    _check_grid_cell(build, backend, KERNEL_COMPARE_RTOL, 1e-12)
 
 
-@pytest.mark.parametrize("backend", BACKENDS[1:])
-@pytest.mark.parametrize("storage", ["sparse", "dense"])
+@pytest.mark.parametrize("backend", ["vectorized"])
+@pytest.mark.parametrize("storage", ["sparse", "dense", "compressed"])
 @pytest.mark.parametrize("out_type", sorted(_OUTER_RECIPES))
 def test_outer_grid_compiled_matches_interpreted(out_type, storage, backend):
     rng = np.random.default_rng(9)
     if storage == "sparse":
         driver = MatrixBlock.rand(120, 100, sparsity=0.08, seed=31)
-    else:
+    elif storage == "dense":
         driver = MatrixBlock(rng.uniform(0.1, 1.0, (120, 100)))
+    else:
+        driver = compress(MatrixBlock(
+            np.round(rng.uniform(0, 3, (120, 100)))))
     u = rng.uniform(0.1, 1.0, (120, 4))
     v = rng.uniform(0.1, 1.0, (100, 4))
 
@@ -149,18 +153,14 @@ def test_outer_grid_compiled_matches_interpreted(out_type, storage, backend):
         um, vm = api.matrix(u, "U"), api.matrix(v, "V")
         return _OUTER_RECIPES[out_type](s, um, vm)
 
-    oracle = _as_arrays(api.eval_all(build(), engine=_engine("interpreted")))
-    engine = _engine(backend)
-    compiled = _as_arrays(api.eval_all(build(), engine=engine))
-    for expected, actual in zip(oracle, compiled):
-        np.testing.assert_allclose(actual, expected, rtol=1e-8, atol=1e-11)
+    _check_grid_cell(build, backend, 1e-8, 1e-11)
 
 
 @pytest.mark.parametrize("recipe", ["full_agg", "multi_agg"])
 def test_compressed_cell_kernel_runs_dictionary_direct(recipe):
-    """Parity for the compressed-CELL kernel variant: an eligible
-    (sparse-safe, side-free, sum-aggregated) plan over a compressed
-    main must run compiled over the dictionaries — no decompression."""
+    """An eligible (sparse-safe, side-free, sum-aggregated) plan over a
+    compressed main runs the dictionary-direct driver on the compiled
+    tier too — no decompression."""
     main = _main_block("compressed")
 
     def build():
@@ -169,36 +169,13 @@ def test_compressed_cell_kernel_runs_dictionary_direct(recipe):
             return [((x * x) * 2.0).sum()]
         return [(x * x).sum(), ((x * x) * (x * 3.0)).sum()]
 
-    oracle = _as_arrays(api.eval_all(build(), engine=_engine("interpreted")))
-    engine = _engine("vectorized")
-    compiled = _as_arrays(api.eval_all(build(), engine=engine))
-    rtol = engine.config.kernel_compare_rtol
-    for expected, actual in zip(oracle, compiled):
-        np.testing.assert_allclose(actual, expected, rtol=rtol, atol=1e-12)
+    engine = _check_grid_cell(build, "vectorized", KERNEL_COMPARE_RTOL,
+                              1e-12)
     summary = engine.stats.kernel_summary()
     assert summary["n_compiled_runs"] >= 1
     compressed = engine.stats.compressed_summary()
     assert compressed["n_compressed_ops"] >= 1
     assert compressed["n_decompressions"] == 0
-
-
-def test_compressed_cell_kernel_source_emitted():
-    """Eligible plans carry a loop-free `genkernel_comp` variant."""
-    from repro.codegen.npgen import compile_kernel
-    from repro.codegen.cplan import compressed_cell_eligible
-    from repro.codegen.construct import construct_cplan
-    from tests.codegen.test_construct_pygen import _select_plan
-
-    x = api.matrix(np.ones((32, 8)), "X")
-    plan, plan_config = _select_plan([(x * x).sum()])
-    cplan = construct_cplan(plan, plan_config)[0]
-    assert compressed_cell_eligible(cplan)
-    kernel = compile_kernel(cplan, CodegenConfig())
-    assert kernel.comp_entry is not None
-    assert "genkernel_comp" in kernel.comp_source
-    values = np.array([0.0, 1.0, 3.0])
-    counts = np.array([5.0, 2.0, 1.0])
-    assert kernel.comp_entry(values, counts, [], []) == 11.0
 
 
 def test_elementwise_kernels_bit_identical():
@@ -238,7 +215,7 @@ def test_kernels_compose_with_intra_op_parallelism():
 
 
 # ----------------------------------------------------------------------
-# Promotion policy
+# Tier resolution
 # ----------------------------------------------------------------------
 class TestPromotion:
     def _eval_once(self, engine):
@@ -248,28 +225,13 @@ class TestPromotion:
         return float(api.eval((x * y).sum(), engine=engine))
 
     def test_threshold_zero_compiles_on_first_execution(self):
-        engine = _engine("vectorized", kernel_hot_threshold=0)
+        """The kernel compiles at the operator's first execution."""
+        engine = _engine("vectorized")
         self._eval_once(engine)
         summary = engine.stats.kernel_summary()
         assert summary["n_kernel_compiles"] == 1
         assert summary["n_compiled_runs"] == 1
         assert summary["n_interpreted_runs"] == 0
-        # Compiling at first execution is not a promotion: the
-        # operator never ran interpreted.
-        assert summary["n_kernel_promotions"] == 0
-
-    def test_hot_threshold_promotes_after_warmup(self):
-        engine = _engine("vectorized", kernel_hot_threshold=5)
-        results = [self._eval_once(engine) for _ in range(3)]
-        # Hotness = executions + plan-cache hits: run 1 scores 1,
-        # run 2 scores 3 (hit + execution), run 3 crosses 5 and runs
-        # compiled.  All three runs agree regardless of tier.
-        assert len(set(np.round(results, 9))) == 1
-        summary = engine.stats.kernel_summary()
-        assert summary["n_interpreted_runs"] == 2
-        assert summary["n_compiled_runs"] == 1
-        assert summary["n_kernel_compiles"] == 1
-        assert summary["n_kernel_promotions"] == 1
 
     def test_disabled_kernels_stay_interpreted(self):
         engine = _engine("interpreted")
@@ -289,6 +251,39 @@ class TestPromotion:
         assert summary["n_compiled_runs"] == 4
         assert summary["compiled_run_fraction"] == 1.0
 
+    def test_compile_failure_pins_operator_interpreted(self, monkeypatch):
+        def broken(cplan, config, stats=None):
+            raise RuntimeError("emission bug")
+
+        monkeypatch.setattr(npgen, "compile_kernel", broken)
+        oracle = self._eval_once(_engine("interpreted"))
+        engine = _engine("vectorized")
+        results = [self._eval_once(engine) for _ in range(2)]
+        assert results == [oracle, oracle]
+        summary = engine.stats.kernel_summary()
+        # One failed compile; the pinned operator never retries.
+        assert summary["n_kernel_failures"] == 1
+        assert summary["n_kernel_compiles"] == 0
+        assert summary["n_interpreted_runs"] == 2
+
+    def test_driver_failure_reruns_interpreted(self, monkeypatch):
+        def raising_entry(*args):
+            raise RuntimeError("kernel bug")
+
+        def fake(cplan, config, stats=None):
+            return npgen.CompiledKernel("fake", "", raising_entry)
+
+        monkeypatch.setattr(npgen, "compile_kernel", fake)
+        oracle = self._eval_once(_engine("interpreted"))
+        engine = _engine("vectorized")
+        assert self._eval_once(engine) == oracle
+        # The failed driver pinned the operator: the next run resolves
+        # straight to the interpreted tier.
+        assert self._eval_once(engine) == oracle
+        summary = engine.stats.kernel_summary()
+        assert summary["n_compiled_runs"] == 1
+        assert summary["n_interpreted_runs"] == 1
+
 
 # ----------------------------------------------------------------------
 # Sharing: serving specializations and the source-hash cache
@@ -300,7 +295,6 @@ class TestKernelSharing:
         The semantic hash ignores absolute sizes, so both shape
         specializations of the prepared program resolve to the same
         GeneratedOperator — and therefore the same compiled kernel.
-        Warm binds additionally feed operator hotness.
         """
         engine = Engine(mode="gen", config=CodegenConfig(intra_op_threads=1))
         prepared = engine.prepare(
@@ -337,30 +331,3 @@ class TestKernelSharing:
         assert a is not b
         assert a["genexec"](0, [], []) == 1
         assert b["genexec"](0, [], []) == 2
-
-
-# ----------------------------------------------------------------------
-# Numba degradation
-# ----------------------------------------------------------------------
-class TestNumbaDegradation:
-    def test_numba_request_still_correct_without_numba(self):
-        rng = np.random.default_rng(19)
-        xd = rng.uniform(0.1, 1.0, (80, 20))
-        yd = rng.uniform(0.1, 1.0, (80, 20))
-
-        def build():
-            x, y = api.matrix(xd, "X"), api.matrix(yd, "Y")
-            return [(x * y).sum(), x * y * 3.0]
-
-        oracle = _as_arrays(api.eval_all(
-            build(), engine=_engine("interpreted")))
-        engine = _engine("numba")  # numba_kernels=True regardless
-        got = _as_arrays(api.eval_all(build(), engine=engine))
-        for expected, actual in zip(oracle, got):
-            np.testing.assert_allclose(actual, expected, rtol=1e-9,
-                                       atol=1e-12)
-        summary = engine.stats.kernel_summary()
-        assert summary["n_compiled_runs"] >= 1
-        if not HAVE_NUMBA:
-            # Degraded to the NumPy kernels, with the fallback counted.
-            assert summary["n_numba_fallbacks"] >= 1
