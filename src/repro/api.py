@@ -9,7 +9,10 @@ multiple roots, which is what exposes multi-aggregate fusion.
 Evaluation flows through the staged pipeline: the engine's compiler
 front half (rewrites → codegen → exec-type selection) optimizes the
 DAG, lowering turns it into a runtime ``Program`` of instructions, and
-the executor schedules it (in parallel where the DAG allows).
+the executor schedules it (in parallel where the DAG allows).  Each
+engine compiles a DAG once per exact signature and reruns the cached
+``Program`` when the same block is rebuilt (see
+:mod:`repro.compiler.program_cache`).
 
 Example::
 
@@ -337,8 +340,13 @@ def eval_all(exprs: Iterable[Mat], engine=None) -> list:
 
     Grouped evaluation mirrors a SystemML statement block: common
     subexpressions are shared and multi-aggregate fusion can apply.
-    Without an explicit ``engine`` the process-wide shared ``base``
-    engine is used, so repeated calls keep their caches warm.
+    The engine compiles each DAG signature once (operators, input
+    shapes, nnz and storage, exact literal values, root order); a
+    rebuilt block with the same signature reruns the cached program on
+    the new input blocks.  The expressions themselves are never
+    rewritten, so they can be evaluated again on any engine.  Without
+    an explicit ``engine`` the process-wide shared ``base`` engine is
+    used, so repeated calls keep their caches warm.
     """
     expr_list = list(exprs)
     if engine is None:

@@ -9,6 +9,7 @@ whenever the main input value is zero).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -658,25 +659,44 @@ def _scalar_binary(op: str, a: float, b: float) -> float:
     return float(table[op]())
 
 
+#: Probe magnitudes on both sides of the comparison boundary at 1.
+_PROBE_MAGNITUDES = (0.4, 0.6, 1.7, 1.9)
+#: Side inputs up to which every sign combination is probed.
+_EXHAUSTIVE_SIDES = 4
+#: Random-sign trials probed on top of (or instead of) the exhaustive ones.
+_RANDOM_TRIALS = 8
+
+
 def _probe_sparse_safe(roots: list[CNode], specs: list[InputSpec],
                        main_index: int) -> bool:
     """Numerically probe f(main=0, sides=random) == 0.
 
-    Side values must cover both signs and magnitudes around the
-    comparison boundaries (min/max/relational operators flip behaviour
-    with the sign of their operands).
+    min/max/relational operators flip behaviour with the signs of their
+    operands, so every side input (and the outer-product value ``uv``)
+    draws its sign and magnitude independently per trial: correlated
+    signs can hide a non-zero, e.g. ``max(cv*Y, 0)*cv`` vanishes
+    whenever ``cv`` and ``Y`` differ in sign.  With at most four side
+    inputs every sign combination is probed as well.
     """
     if main_index < 0:
         return False
     rng = random.Random(42)
-    probes = [-1.7, -0.4, 0.6, 1.9]
-    for trial in range(8):
-        env = {
-            f"in{i}": probes[(trial + i) % len(probes)] * rng.uniform(0.5, 1.5)
-            for i in range(len(specs))
-        }
+    sides = [f"in{i}" for i in range(len(specs)) if i != main_index]
+    trials: list[tuple] = []
+    if len(sides) <= _EXHAUSTIVE_SIDES:
+        trials += itertools.product((-1.0, 1.0), repeat=len(sides))
+    trials += [
+        tuple(rng.choice((-1.0, 1.0)) for _ in sides)
+        for _ in range(_RANDOM_TRIALS)
+    ]
+
+    def draw(sign: float) -> float:
+        return sign * rng.choice(_PROBE_MAGNITUDES) * rng.uniform(0.5, 1.5)
+
+    for signs in trials:
+        env = {name: draw(sign) for name, sign in zip(sides, signs)}
         env[f"in{main_index}"] = 0.0
-        env["uv"] = probes[trial % len(probes)] * rng.uniform(0.5, 1.5)
+        env["uv"] = draw(rng.choice((-1.0, 1.0)))
         for root in roots:
             try:
                 value = eval_cnode(root, env)

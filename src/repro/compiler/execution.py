@@ -21,18 +21,23 @@
    the program serially or over a thread pool by dependency readiness,
    eagerly freeing dead intermediates.
 
-An engine owns a plan cache and runtime statistics; every ``execute``
-call plays the role of one statement-block compilation (including
-dynamic recompilation, since DAGs are rebuilt per iteration while
-generated operators are reused through the plan cache).  Engines are
-thread-safe: compilations serialize on the context's compile lock while
-runtime execution overlaps, which is what the serving subsystem
-(:mod:`repro.serve`) builds on.
+An engine owns a plan cache, a program cache and runtime statistics.
+``execute`` compiles each distinct statement-block DAG once: DAGs
+rebuilt per loop iteration are keyed by an exact structural signature
+(:mod:`repro.compiler.program_cache`), and a repeated block reruns the
+cached program with its new input blocks bound through the executor's
+``bindings`` overlay.  A new signature (a changed shape, nnz or
+literal) compiles afresh, which is the dynamic recompilation of a
+statement block; generated operators stay shared across those compiles
+through the plan cache.  Engines are thread-safe: compilations
+serialize on the context's compile lock while runtime execution
+overlaps, which is what the serving subsystem (:mod:`repro.serve`)
+builds on.
 
 :func:`shared_engine` hands out one long-lived engine per mode, so
 interpreter entry points (``run_script``, ``api.eval``) that are called
-without an explicit engine reuse warm plan caches instead of paying the
-full compile pipeline on every call.
+without an explicit engine reuse warm program and plan caches instead
+of paying the full compile pipeline on every call.
 """
 
 from __future__ import annotations
@@ -44,6 +49,12 @@ from repro.compiler.pipeline import (
     CompilationContext,
     build_pipeline,
     compile_program,
+)
+from repro.compiler.program_cache import (
+    MAX_CACHED_PROGRAMS,
+    BuildOnceLRU,
+    compile_signed,
+    sign_dag,
 )
 from repro.compiler.recompile import Recompiler
 from repro.config import CodegenConfig, DEFAULT_CONFIG
@@ -74,7 +85,12 @@ def shared_engine(mode: str = "gen") -> "Engine":
 
 
 class Engine:
-    """Executes HOP DAGs under one of the experimental configurations."""
+    """Executes HOP DAGs under one of the experimental configurations.
+
+    ``execute`` compiles each distinct DAG signature once and reruns
+    the cached program for rebuilt blocks; ``compile`` always runs the
+    full pipeline on the given hops (inspection, serving).
+    """
 
     def __init__(self, mode: str = "gen", config: CodegenConfig | None = None):
         if mode not in _MODES:
@@ -98,6 +114,9 @@ class Engine:
             self.config, self.stats, self._spark,
             recompiler=Recompiler(self.context),
         )
+        # DAG signature -> CachedProgram (programs over symbolic leaves).
+        self._programs = BuildOnceLRU(MAX_CACHED_PROGRAMS,
+                                      "Engine._programs")
 
     # Backward-compatible views onto the shared compilation context.
     @property
@@ -119,11 +138,25 @@ class Engine:
         return compile_program(roots, self.context, self._pipeline)
 
     def execute(self, roots: list[Hop]) -> list:
-        """Compile and execute a multi-root DAG; returns root values."""
+        """Execute a multi-root DAG; returns root values.
+
+        The DAG compiles once per signature: a hit reruns the cached
+        program with this call's input blocks bound, a miss compiles a
+        symbolic clone (the caller's DAG is never rewritten).
+        """
         with self.tracer.span("evaluate", cat="request",
                               n_roots=len(roots)):
-            program = self.compile(roots)
-            return self.executor.run(program)
+            signed = sign_dag(roots)
+            if signed is None:  # already-optimized hops: compile as is
+                return self.executor.run(self.compile(roots))
+            cached, hit = self._programs.get_or_build(
+                signed.key, lambda: compile_signed(signed, self.compile)
+            )
+            self.stats.metrics.counter("program_cache_lookups").inc(
+                outcome="hit" if hit else "miss"
+            )
+            return self.executor.run(cached.program,
+                                     cached.bindings(signed.blocks))
 
     # ------------------------------------------------------------------
     # Observability (repro.obs).

@@ -24,12 +24,11 @@ recompile typically reuses every compiled operator class.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import scipy.sparse as sp
 
 from repro import api
+from repro.compiler.program_cache import BuildOnceLRU
 from repro.errors import ServingError, UnbatchableProgramError
 from repro.hops import memory
 from repro.hops.hop import DataOp
@@ -51,8 +50,7 @@ class Specialization:
     """One compiled shape-specialization of a prepared program."""
 
     __slots__ = ("signature", "program", "input_slots", "layout",
-                 "program_bytes", "batch_roles", "batch_rows", "n_uses",
-                 "last_use")
+                 "program_bytes", "batch_roles", "batch_rows")
 
     def __init__(self, signature, program, input_slots, layout,
                  program_bytes, batch_roles, batch_rows):
@@ -63,8 +61,6 @@ class Specialization:
         self.program_bytes = program_bytes  # intermediate-footprint estimate
         self.batch_roles = batch_roles  # per-root SPLIT/REPLICATE/None
         self.batch_rows = batch_rows  # batch-dim rows this spec compiled for
-        self.n_uses = 0
-        self.last_use = 0  # LRU tick for specialization eviction
 
 
 class BoundRequest:
@@ -105,16 +101,13 @@ class PreparedProgram:
         self.engine = engine
         self.name = name
         self.batch_inputs = tuple(batch_inputs)
-        self.max_specializations = max(1, max_specializations)
         self._builder = builder  # dict[str, Mat|float] -> Mat|list|dict
         self._script = None
-        self._lock = threading.Lock()
-        self._specializations: dict[tuple, Specialization] = {}
-        # signature -> Event for an in-flight compile: a concurrent
-        # miss waits instead of recompiling, and warm hits for *other*
-        # signatures never queue behind a compile.
-        self._building: dict[tuple, threading.Event] = {}
-        self._use_tick = 0
+        # signature -> Specialization; LRU-bounded so a long-running
+        # server's memory stays bounded under endlessly varying shapes.
+        self._specializations = BuildOnceLRU(
+            max_specializations, "PreparedProgram._specializations"
+        )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -133,8 +126,7 @@ class PreparedProgram:
 
     @property
     def n_specializations(self) -> int:
-        with self._lock:
-            return len(self._specializations)
+        return len(self._specializations)
 
     def signature_of(self, inputs: dict) -> tuple:
         return input_signature(normalize_inputs(inputs))
@@ -163,64 +155,29 @@ class PreparedProgram:
     def _specialize(self, signature, normalized: dict) -> Specialization:
         """Look up (or compile exactly once) the shape specialization.
 
-        The compile runs outside the per-program lock, so warm hits on
-        other signatures proceed while a new shape recompiles; a
-        concurrent miss on the *same* signature waits on the first
-        thread's in-flight compilation (the plan-cache discipline).
+        A concurrent miss on the *same* signature waits on the first
+        thread's compile; hits on other signatures never queue behind
+        it (:class:`~repro.compiler.program_cache.BuildOnceLRU`).
         """
         stats = self.engine.stats
-        while True:
-            with self._lock:
-                spec = self._specializations.get(signature)
-                if spec is not None:
-                    self._use_tick += 1
-                    spec.n_uses += 1
-                    spec.last_use = self._use_tick
-                    with stats.lock:
-                        stats.n_specialization_hits += 1
-                    return spec
-                event = self._building.get(signature)
-                if event is None:
-                    self._building[signature] = threading.Event()
-                    is_recompile = bool(self._specializations)
-                    break  # this thread owns the compilation
-            event.wait()
+        is_recompile = False
 
-        try:
+        def build() -> Specialization:
+            nonlocal is_recompile
+            is_recompile = len(self._specializations) > 0
             with self.engine.tracer.span("specialize-compile", cat="serve",
                                          program=self.name):
-                spec = self._compile(signature, normalized)
-        except BaseException:
-            with self._lock:
-                failed = self._building.pop(signature, None)
-            if failed is not None:
-                failed.set()
-            raise
-        with self._lock:
-            self._specializations[signature] = spec
-            self._use_tick += 1
-            spec.n_uses += 1
-            spec.last_use = self._use_tick
-            self._evict_cold_specializations()
-            finished = self._building.pop(signature, None)
-        if finished is not None:
-            finished.set()
-        with stats.lock:
-            stats.n_specialization_misses += 1
-            if is_recompile:
-                stats.n_shape_recompiles += 1
-        return spec
+                return self._compile(signature, normalized)
 
-    def _evict_cold_specializations(self) -> None:
-        """Drop least-recently-used specializations over the cap (the
-        caller holds ``self._lock``); bounds a long-running server's
-        memory under endlessly varying request shapes."""
-        while len(self._specializations) > self.max_specializations:
-            coldest = min(
-                self._specializations.items(),
-                key=lambda item: item[1].last_use,
-            )
-            del self._specializations[coldest[0]]
+        spec, hit = self._specializations.get_or_build(signature, build)
+        with stats.lock:
+            if hit:
+                stats.n_specialization_hits += 1
+            else:
+                stats.n_specialization_misses += 1
+                if is_recompile:
+                    stats.n_shape_recompiles += 1
+        return spec
 
     def execute_bound(self, bound: BoundRequest):
         """Run a bound request on the engine's shared executor."""

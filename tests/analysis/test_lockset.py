@@ -157,6 +157,31 @@ class TestRuntimeCleanliness:
         assert checker.summary()["n_fields_tracked"] > 0
         engine.close()
 
+    def test_concurrent_eval_all_program_cache_clean(self):
+        """Concurrent eval_all on one engine: program-cache misses and
+        hits on a shared signature under the race detector."""
+        engine = Engine(
+            mode="gen", config=CodegenConfig(lockset_debug=True)
+        )
+        checker = lockset.active()
+        assert checker is not None
+        rng = np.random.default_rng(11)
+        data = rng.random((30, 10))
+        vec = rng.random((10, 1))
+
+        def job():
+            for _ in range(3):
+                x = api.matrix(data, "X")
+                v = api.matrix(vec, "v")
+                api.eval_all([(x * x).sum(), x @ v], engine=engine)
+
+        _run_threads(4, job)
+        assert checker.summary()["reports"] == []
+        assert engine.stats.n_lockset_reports == 0
+        assert engine.stats.n_programs_compiled == 1
+        assert checker.summary()["n_fields_tracked"] > 0
+        engine.close()
+
     def test_serving_scheduler_runs_clean(self):
         """Concurrent serving: scheduler workers over one shared engine."""
         from repro.serve import SessionScheduler

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro import api
 from repro.codegen.cost import CostEstimator
@@ -16,6 +17,7 @@ from repro.config import CodegenConfig
 from repro.hops.hop import collect_dag
 from repro.hops.rewrites import apply_rewrites
 from repro.runtime.matrix import MatrixBlock
+from tests.conftest import ALL_MODES, make_engine
 
 
 def _select_plan(exprs, want_type=None):
@@ -104,6 +106,25 @@ class TestCNodeProbing:
         unsafe = CNode("b:+", [CNode("data", input_index=0), CNode("data", input_index=1)])
         assert _probe_sparse_safe([safe], specs, 0)
         assert not _probe_sparse_safe([unsafe], specs, 0)
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_sign_correlated_sides_not_sparse_safe(self, mode):
+        """sum(max((X + cv) * Y, X) * cv) with sparse X: at X == 0 the
+        body is max(cv*Y, 0) * cv, non-zero whenever cv and Y are both
+        positive.  Probing inputs two slots apart with opposite signs
+        misjudged it sparse-safe and gen skipped X's zero cells."""
+        rng = np.random.default_rng(3)
+        xd = sp.random(60, 40, density=0.1, random_state=4, format="csr")
+        yd = rng.random((60, 40))
+        cvd = rng.random((60, 1))
+        dense = xd.toarray()
+        expected = float(np.sum(np.maximum((dense + cvd) * yd, dense) * cvd))
+        x = api.matrix(xd, "X")
+        y = api.matrix(yd, "Y")
+        cv = api.matrix(cvd, "cv")
+        expr = (api.maximum((x + cv) * y, x) * cv).sum()
+        result = api.eval(expr, engine=make_engine(mode))
+        assert result == pytest.approx(expected, rel=1e-10)
 
 
 class TestPygen:

@@ -72,10 +72,42 @@ def test_concurrent_eval_all_matches_serial(mode):
                 np.testing.assert_allclose(actual, expected, rtol=1e-10)
 
     # Stats integrity: every run's instruction count was recorded
-    # (identical DAG => identical program size), and concurrent misses
-    # never compiled the same generated operator twice.
+    # (identical DAG => identical program size), and concurrent runs of
+    # one signature reran the first compile's program.
     total_runs = 1 + N_THREADS * RUNS_PER_THREAD
     assert engine.stats.n_instructions_executed == \
         per_run_instructions * total_runs
     assert engine.stats.n_classes_compiled == baseline_classes
-    assert engine.stats.n_programs_compiled == total_runs
+    assert engine.stats.n_programs_compiled == 1
+
+
+@pytest.mark.parametrize("mode", ["base"] + GEN_MODES)
+def test_concurrent_first_misses_compile_once(mode):
+    """Threads missing on one signature at once share one compile."""
+    engine = make_engine(mode)
+    reference = [as_array(value) for value in
+                 api.eval_all(_build(), engine=make_engine(mode))]
+    results: list = []
+    errors: list[BaseException] = []
+    barrier = threading.Barrier(N_THREADS)
+
+    def worker():
+        try:
+            exprs = _build()
+            barrier.wait()
+            results.append([as_array(v) for v in
+                            api.eval_all(exprs, engine=engine)])
+        except BaseException as exc:  # surfaces in the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(N_THREADS)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not errors
+    assert len(results) == N_THREADS
+    for run in results:
+        for expected, actual in zip(reference, run):
+            np.testing.assert_allclose(actual, expected, rtol=1e-10)
+    assert engine.stats.n_programs_compiled == 1

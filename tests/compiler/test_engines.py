@@ -260,20 +260,33 @@ class TestPlanCacheBehavior:
         first = run()
         compiled_after_first = engine.stats.n_classes_compiled
         second = run()
-        assert first == pytest.approx(second)
+        assert first == second
+        assert engine.stats.n_classes_compiled == compiled_after_first
+        # The rebuilt DAG has the first one's signature: its program
+        # reruns without a compile.
+        assert engine.stats.n_programs_compiled == 1
+        # A recompile (new shape, same operator pattern) reuses the
+        # generated operator through the plan cache.
+        x, y, z = (api.matrix(d[:50], n) for d, n in
+                   ((XD, "X"), (YD, "Y"), (ZD, "Z")))
+        api.eval((x * y * z).sum(), engine=engine)
+        assert engine.stats.n_programs_compiled == 2
         assert engine.stats.n_classes_compiled == compiled_after_first
         assert engine.stats.plan_cache_hits >= 1
 
     def test_cache_disabled_recompiles(self):
         engine = make_engine("gen", plan_cache_enabled=False)
 
-        def run():
-            m = _mats()
-            return api.eval((m["X"] * m["Y"]).sum(), engine=engine)
+        def run(rows):
+            x = api.matrix(XD[:rows], "X")
+            y = api.matrix(YD[:rows], "Y")
+            return api.eval((x * y).sum(), engine=engine)
 
-        run()
+        run(XD.shape[0])
         first_count = engine.stats.n_classes_compiled
-        run()
+        # A new shape recompiles the DAG (a same-signature rerun would
+        # reuse the cached program and compile nothing).
+        run(50)
         assert engine.stats.n_classes_compiled > first_count
 
     def test_file_compiler_backend(self):

@@ -53,7 +53,13 @@ class TestExecTypeSelectionRunsOnce:
         api.eval(_expr(rng), engine=engine)
         assert engine.stats.n_exec_type_selections == 1
         assert engine.stats.n_programs_compiled == 1
+        # Same signature (new data, same shapes and nnz): the cached
+        # program reruns and nothing compiles.
         api.eval(_expr(rng), engine=engine)
+        assert engine.stats.n_exec_type_selections == 1
+        assert engine.stats.n_programs_compiled == 1
+        # A new signature compiles once more, with one selection.
+        api.eval(_expr(rng) * 2.0, engine=engine)
         assert engine.stats.n_exec_type_selections == 2
         assert engine.stats.n_programs_compiled == 2
 

@@ -208,4 +208,9 @@ class TestInterpreter:
         }
         """
         run_script(script, inputs={"X": rng.random((10, 10))}, engine=engine)
-        assert engine.stats.n_dags_optimized >= 4
+        # Four statement blocks with one signature: optimized once, the
+        # other three iterations rerun the cached program.
+        assert engine.stats.n_dags_optimized == 1
+        lookups = engine.stats.metrics.counter("program_cache_lookups")
+        assert lookups.value(outcome="miss") == 1
+        assert lookups.value(outcome="hit") == 3

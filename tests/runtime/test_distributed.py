@@ -166,10 +166,14 @@ class TestDistributedExecution:
         expr = (x * 2.0).sum()
         engine.execute([expr.hop])
         # The cell op over X exceeds the budget.
+        assert engine.stats.n_distributed_ops >= 1
+        # execute compiled a clone: the caller's hops keep their types.
+        assert all(h.exec_type is ExecType.CP
+                   for h in [expr.hop] + expr.hop.inputs)
+        program = engine.compile([expr.hop])
         assert any(
-            h.exec_type is ExecType.SPARK
-            for h in [expr.hop] + expr.hop.inputs
-            if h.is_matrix or h.inputs
+            instr.hop.exec_type is ExecType.SPARK
+            for instr in program.instructions
         )
 
 
