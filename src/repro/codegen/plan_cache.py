@@ -11,10 +11,9 @@ javac comparison (Figure 11):
   a module (the heavyweight javac path).
 
 The cache is thread-safe: a serving scheduler shares one cache across
-concurrent request compilations.  Lookup/insert run under a single
-lock, and a concurrent miss on the same key compiles exactly once —
-later threads wait on the first thread's in-flight compilation instead
-of duplicating it.
+concurrent request compilations, and a concurrent miss on the same key
+compiles exactly once.  :class:`BuildOnceLRU` provides that guarantee
+here and under the engine's program cache and serving specializations.
 """
 
 from __future__ import annotations
@@ -22,12 +21,14 @@ from __future__ import annotations
 import builtins
 import hashlib
 import importlib.util
+import math
 import os
 import py_compile
 import sys
 import tempfile
 import threading
 import time
+from collections import OrderedDict
 
 from repro.analysis import lockset
 from repro.codegen.cplan import CPlan
@@ -52,40 +53,75 @@ def _source_cache_key(name: str, source: str, backend: str) -> str:
     return f"{backend}:{name}:{digest}"
 
 
+class BuildOnceLRU:
+    """A bounded LRU map whose misses build each key exactly once.
+
+    Builds run outside the lock, so hits on other keys never queue
+    behind a compile; a concurrent miss on the *same* key waits on the
+    first thread's in-flight ``Event`` instead of building again.  A
+    failed build wakes its waiters and one of them takes over.  A
+    ``capacity`` of ``math.inf`` never evicts.
+    """
+
+    def __init__(self, capacity: float, name: str):
+        self.capacity = max(1, capacity)
+        self._name = name
+        self._lock = lockset.make_lock(f"{name}._lock")
+        self._entries: OrderedDict = OrderedDict()
+        self._building: dict = {}  # key -> Event of the in-flight build
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def get_or_build(self, key, build) -> tuple:
+        """``(value, hit)`` for ``key``, calling ``build()`` on a miss."""
+        while True:
+            with self._lock:
+                lockset.note_access(self._name, self, "entries")
+                value = self._entries.get(key)
+                if value is not None:
+                    self._entries.move_to_end(key)
+                    return value, True
+                event = self._building.get(key)
+                if event is None:
+                    event = self._building[key] = threading.Event()
+                    break  # this thread owns the build
+            event.wait()
+
+        try:
+            value = build()
+        except BaseException:
+            with self._lock:
+                del self._building[key]
+            event.set()
+            raise
+        with self._lock:
+            lockset.note_access(self._name, self, "entries")
+            self._entries[key] = value
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+            del self._building[key]
+        event.set()
+        return value, False
+
+
 class PlanCache:
-    """CPlan-hash -> compiled operator cache (thread-safe)."""
+    """CPlan-hash -> compiled operator cache (thread-safe, unbounded).
+
+    ``enabled=False`` compiles on every lookup (the paper's Fig 11
+    no-cache configuration).  Lookups and hits are counted in the
+    ``plan_cache_*`` fields of the stats object passed in.
+    """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self._cache: dict[str, GeneratedOperator] = {}
-        self._lock = lockset.make_lock("PlanCache._lock")
-        # key -> Event set once the owning thread finished compiling.
-        self._building: dict[str, threading.Event] = {}
-        self.hits = 0
-        self.lookups = 0
+        self._cache = BuildOnceLRU(math.inf, "PlanCache")
 
     @property
     def size(self) -> int:
         """Number of cached operators."""
-        with self._lock:
-            return len(self._cache)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._cache.clear()
-            self.hits = 0
-            self.lookups = 0
-
-    def _record(self, stats, **deltas) -> None:
-        """Apply counter deltas to an engine stats object (locked)."""
-        if stats is None:
-            return
-        with stats.lock:
-            for name, delta in deltas.items():
-                setattr(stats, name, getattr(stats, name) + delta)
-            stats.plan_cache_size = max(
-                stats.plan_cache_size, len(self._cache)
-            )
+        return len(self._cache)
 
     def get_or_compile(self, cplan: CPlan, config, stats=None) -> GeneratedOperator:
         """Return a compiled operator, reusing cached equivalents.
@@ -93,71 +129,48 @@ class PlanCache:
         On a concurrent miss for the same key only one thread compiles;
         the others block until the operator lands in the cache.
         """
-        key = cplan.semantic_hash()
-        with self._lock:
-            lockset.note_access("PlanCache", self, "lookups")
-            self.lookups += 1
-        self._record(stats, plan_cache_lookups=1)
-        while True:
-            with self._lock:
-                lockset.note_access("PlanCache", self, "cache")
-                if self.enabled and key in self._cache:
-                    self.hits += 1
-                    operator = self._cache[key]
-                    self._record(stats, plan_cache_hits=1)
-                    return operator
-                event = self._building.get(key)
-                if event is None:
-                    if self.enabled:
-                        self._building[key] = threading.Event()
-                    break  # this thread owns the compilation
-            # Another thread is compiling this key: wait, then re-check
-            # (a hit if it succeeded; ownership if it failed).
-            event.wait()
-
-        try:
-            from repro.obs import trace as obs_trace
-
-            tracer = (stats.tracer if stats is not None
-                      else obs_trace.NULL_TRACER)
-            start = time.perf_counter()
-            with tracer.span("codegen-source", cat="compile",
-                             template=cplan.ttype.value):
-                name, source = generate_source(cplan, config.inline_primitives)
-                if getattr(config, "verify_level", "off") != "off":
-                    from repro.analysis.kernel_lint import check_source
-
-                    check_source(name, source, kind="interpreted",
-                                 stats=stats)
-            gen_elapsed = time.perf_counter() - start
-
-            start = time.perf_counter()
-            with tracer.span("operator-compile", cat="compile", op=name):
-                genexec = compile_operator(name, source, config.compiler,
-                                           stats=stats)
-            compile_elapsed = time.perf_counter() - start
-        except BaseException:
-            with self._lock:
-                failed = self._building.pop(key, None)
-            if failed is not None:
-                failed.set()
-            raise
-
-        operator = GeneratedOperator(name, cplan, source, genexec)
-        with self._lock:
-            lockset.note_access("PlanCache", self, "cache")
-            if self.enabled:
-                self._cache[key] = operator
-            finished = self._building.pop(key, None)
-        if finished is not None:
-            finished.set()
-        self._record(
-            stats,
-            n_classes_compiled=1,
-            codegen_seconds=gen_elapsed + compile_elapsed,
-            class_compile_seconds=compile_elapsed,
-        )
+        if self.enabled:
+            operator, hit = self._cache.get_or_build(
+                cplan.semantic_hash(),
+                lambda: self._compile(cplan, config, stats),
+            )
+        else:
+            operator, hit = self._compile(cplan, config, stats), False
+        if stats is not None:
+            size = len(self._cache)
+            with stats.lock:
+                stats.plan_cache_lookups += 1
+                stats.plan_cache_hits += hit
+                stats.plan_cache_size = max(stats.plan_cache_size, size)
         return operator
+
+    @staticmethod
+    def _compile(cplan: CPlan, config, stats) -> GeneratedOperator:
+        """Generate and compile one operator's source."""
+        from repro.obs import trace as obs_trace
+
+        tracer = stats.tracer if stats is not None else obs_trace.NULL_TRACER
+        start = time.perf_counter()
+        with tracer.span("codegen-source", cat="compile",
+                         template=cplan.ttype.value):
+            name, source = generate_source(cplan, config.inline_primitives)
+            if getattr(config, "verify_level", "off") != "off":
+                from repro.analysis.kernel_lint import check_source
+
+                check_source(name, source, kind="interpreted", stats=stats)
+        gen_elapsed = time.perf_counter() - start
+
+        start = time.perf_counter()
+        with tracer.span("operator-compile", cat="compile", op=name):
+            genexec = compile_operator(name, source, config.compiler,
+                                       stats=stats)
+        compile_elapsed = time.perf_counter() - start
+        if stats is not None:
+            with stats.lock:
+                stats.n_classes_compiled += 1
+                stats.codegen_seconds += gen_elapsed + compile_elapsed
+                stats.class_compile_seconds += compile_elapsed
+        return GeneratedOperator(name, cplan, source, genexec)
 
 
 def compile_source(name: str, source: str, backend: str = "exec",

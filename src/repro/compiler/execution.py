@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import threading
 
+from repro.codegen.plan_cache import BuildOnceLRU
 from repro.compiler.pipeline import (
     MODE_POLICIES,
     CompilationContext,
@@ -52,7 +53,6 @@ from repro.compiler.pipeline import (
 )
 from repro.compiler.program_cache import (
     MAX_CACHED_PROGRAMS,
-    BuildOnceLRU,
     compile_signed,
     sign_dag,
 )
@@ -152,9 +152,9 @@ class Engine:
             cached, hit = self._programs.get_or_build(
                 signed.key, lambda: compile_signed(signed, self.compile)
             )
-            self.stats.metrics.counter("program_cache_lookups").inc(
-                outcome="hit" if hit else "miss"
-            )
+            with self.stats.lock:
+                self.stats.program_cache_lookups += 1
+                self.stats.program_cache_hits += hit
             return self.executor.run(cached.program,
                                      cached.bindings(signed.blocks))
 

@@ -154,12 +154,8 @@ def run_passes(roots: list[Hop], passes: list[CompilerPass],
         start = time.perf_counter()
         with ctx.tracer.span(compiler_pass.name, cat="compile"):
             roots = compiler_pass.run(roots, ctx)
-        elapsed = time.perf_counter() - start
-        seconds = ctx.stats.pipeline_pass_seconds
-        seconds[compiler_pass.name] = seconds.get(compiler_pass.name, 0.0) + elapsed
-        ctx.stats.metrics.histogram("compile_phase_seconds").observe(
-            elapsed, phase=compiler_pass.name
-        )
+        ctx.stats.record_pass(compiler_pass.name,
+                              time.perf_counter() - start)
         if per_pass_verify:
             check_dag(roots, ctx, stage=f"after-{compiler_pass.name}")
     return roots
@@ -200,12 +196,7 @@ def compile_program(roots: list[Hop], ctx: CompilationContext,
             ctx.stats.n_marked_instructions += annotate_recompile_markers(
                 program
             )
-        elapsed = time.perf_counter() - start
-        seconds = ctx.stats.pipeline_pass_seconds
-        seconds["lowering"] = seconds.get("lowering", 0.0) + elapsed
-        ctx.stats.metrics.histogram("compile_phase_seconds").observe(
-            elapsed, phase="lowering"
-        )
+        ctx.stats.record_pass("lowering", time.perf_counter() - start)
         if verify:
             # Covers adaptive recompiles too: spliced remainder programs
             # re-enter this pipeline and re-verify automatically.

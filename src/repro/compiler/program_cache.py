@@ -18,17 +18,15 @@ matrix leaves are :class:`~repro.serve.symbolic.SymbolicBlock`
 stand-ins, so cached programs never pin input data and the caller's DAG
 is never rewritten in place.
 
-:class:`BuildOnceLRU` is the bounded, build-once map under both this
-cache and the serving specializations.
+:class:`~repro.codegen.plan_cache.BuildOnceLRU` is the bounded,
+build-once map under this cache, the plan cache and the serving
+specializations.
 """
 
 from __future__ import annotations
 
 import struct
-import threading
-from collections import OrderedDict
 
-from repro.analysis import lockset
 from repro.compiler.recompile import clone_hop
 from repro.hops.hop import (
     AggBinaryOp,
@@ -63,58 +61,6 @@ _OP_FIELDS = {
     IndexingOp: ("rl", "ru", "cl", "cu"),
     NaryOp: ("op",),
 }
-
-
-class BuildOnceLRU:
-    """A bounded LRU map whose misses build each key exactly once.
-
-    Builds run outside the lock, so hits on other keys never queue
-    behind a compile; a concurrent miss on the *same* key waits on the
-    first thread's in-flight ``Event`` instead of building again.  A
-    failed build wakes its waiters and one of them takes over.
-    """
-
-    def __init__(self, capacity: int, name: str):
-        self.capacity = max(1, capacity)
-        self._name = name
-        self._lock = lockset.make_lock(f"{name}._lock")
-        self._entries: OrderedDict = OrderedDict()
-        self._building: dict = {}  # key -> Event of the in-flight build
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def get_or_build(self, key, build) -> tuple:
-        """``(value, hit)`` for ``key``, calling ``build()`` on a miss."""
-        while True:
-            with self._lock:
-                lockset.note_access(self._name, self, "entries")
-                value = self._entries.get(key)
-                if value is not None:
-                    self._entries.move_to_end(key)
-                    return value, True
-                event = self._building.get(key)
-                if event is None:
-                    event = self._building[key] = threading.Event()
-                    break  # this thread owns the build
-            event.wait()
-
-        try:
-            value = build()
-        except BaseException:
-            with self._lock:
-                del self._building[key]
-            event.set()
-            raise
-        with self._lock:
-            lockset.note_access(self._name, self, "entries")
-            self._entries[key] = value
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-            del self._building[key]
-        event.set()
-        return value, False
 
 
 class SignedDag:

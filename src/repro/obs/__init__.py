@@ -1,18 +1,17 @@
-"""Observability: span tracing, per-operator profiling, metrics.
+"""Observability: span tracing, per-operator profiling, latency histograms.
 
-Three cooperating pieces (ISSUE 8 / ROADMAP item 3):
+Three cooperating pieces beside the ``RuntimeStats`` counter fields:
 
 * :mod:`repro.obs.trace` — a hierarchical span tracer with a bounded
   ring buffer, gated by ``CodegenConfig.trace_level`` and exportable as
   Chrome ``trace_event`` JSON (``Engine.export_trace``),
 * :mod:`repro.obs.profile` — aggregates instruction spans into an
   ``explain()``-style per-operator report (``Engine.profile_report``),
-* :mod:`repro.obs.metrics` — labeled counters / gauges / log-bucketed
-  latency histograms backing the percentile fields of
-  ``RuntimeStats.serving_summary()``.
+* :mod:`repro.obs.metrics` — labeled log-bucketed latency histograms
+  backing the percentile fields of ``RuntimeStats.serving_summary()``.
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.obs.trace import (
     FULL,
     INSTRUCTIONS,
@@ -26,10 +25,7 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "Span",
     "Tracer",
     "tracer_for",

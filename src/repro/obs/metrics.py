@@ -1,11 +1,11 @@
-"""Labeled counters, gauges, and log-bucketed latency histograms.
+"""Labeled, log-bucketed latency histograms.
 
-A :class:`MetricsRegistry` hangs off each :class:`RuntimeStats` and
-backs the percentile fields of its summaries: the serving scheduler
-observes per-request queue/exec/latency seconds into histograms labeled
-by ``(tenant, program)``, and ``serving_summary()`` extracts p50/p95/p99
-from them (the flat ``serve_*_seconds`` totals stay as before, so every
-existing summary dict shape is preserved).
+Engine counters are plain :class:`~repro.runtime.stats.RuntimeStats`
+fields; a histogram is the one thing a scalar field cannot hold.  The
+serving scheduler observes per-request queue/exec/latency seconds into
+three histograms labeled by ``(tenant, program)``, which ``RuntimeStats``
+owns, and ``serving_summary()`` extracts p50/p95/p99 from them (the flat
+``serve_*_seconds`` totals stay fields).
 
 Histograms are log-bucketed: bucket ``i >= 1`` covers
 ``(base * 2**(i-1), base * 2**i]`` seconds with ``base = 1e-6`` (the
@@ -13,9 +13,8 @@ underflow bucket 0 covers ``[0, base]``).  Percentiles interpolate
 linearly inside the crossing bucket and clamp to the observed min/max,
 so a histogram fed constant values reports that constant exactly.
 
-Thread-safety: all cell mutations happen under one tracked lock per
-registry (lockset-checked); merging run-local registries into a shared
-one composes with ``RuntimeStats.merge``.
+Thread-safety: all cell mutations of one histogram happen under its
+own tracked lock (lockset-checked).
 """
 
 from __future__ import annotations
@@ -28,12 +27,6 @@ from repro.analysis import lockset
 BUCKET_BASE = 1e-6
 #: Highest bucket index (2**64 * base covers any conceivable latency).
 MAX_BUCKET = 64
-
-DEFAULT_PERCENTILES = (50.0, 95.0, 99.0)
-
-
-def _label_key(labels: dict) -> tuple:
-    return tuple(sorted(labels.items()))
 
 
 def bucket_index(value: float) -> int:
@@ -99,131 +92,39 @@ class HistogramCell:
             cumulative += in_bucket
         return self.vmax
 
-    def percentiles(self, qs=DEFAULT_PERCENTILES) -> dict:
-        return {f"p{q:g}": self.percentile(q) for q in qs}
 
-    def snapshot(self) -> dict:
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.vmin if self.count else 0.0,
-            "max": self.vmax if self.count else 0.0,
-            "mean": self.mean,
-            **self.percentiles(),
-        }
-
-    def copy(self) -> "HistogramCell":
-        fresh = HistogramCell()
-        fresh.combine(self)
-        return fresh
-
-
-class _Metric:
-    """Shared cell plumbing for one named metric family."""
-
-    kind = "metric"
-
-    def __init__(self, name: str, lock):
-        self.name = name
-        self._lock = lock
-        self._cells: dict[tuple, object] = {}
-
-    def _note(self) -> None:
-        lockset.note_access("MetricsRegistry", self, "cells")
-
-    def labels(self) -> list[dict]:
-        with self._lock:
-            self._note()
-            return [dict(key) for key in self._cells]
-
-
-class Counter(_Metric):
-    """Monotonic labeled counter (merge = addition)."""
-
-    kind = "counter"
-
-    def inc(self, value: float = 1.0, **labels) -> None:
-        key = _label_key(labels)
-        with self._lock:
-            self._note()
-            self._cells[key] = self._cells.get(key, 0.0) + value
-
-    def value(self, **labels) -> float:
-        with self._lock:
-            self._note()
-            return self._cells.get(_label_key(labels), 0.0)
-
-    def total(self) -> float:
-        with self._lock:
-            self._note()
-            return sum(self._cells.values())
-
-    def _merge(self, other: "Counter") -> None:
-        with other._lock:
-            cells = dict(other._cells)
-        with self._lock:
-            self._note()
-            for key, value in cells.items():
-                self._cells[key] = self._cells.get(key, 0.0) + value
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            self._note()
-            return {str(dict(key)): value
-                    for key, value in self._cells.items()}
-
-
-class Gauge(_Metric):
-    """Last-set labeled gauge (merge = max, like the stats gauges)."""
-
-    kind = "gauge"
-
-    def set(self, value: float, **labels) -> None:
-        key = _label_key(labels)
-        with self._lock:
-            self._note()
-            self._cells[key] = value
-
-    def value(self, **labels) -> float:
-        with self._lock:
-            self._note()
-            return self._cells.get(_label_key(labels), 0.0)
-
-    def _merge(self, other: "Gauge") -> None:
-        with other._lock:
-            cells = dict(other._cells)
-        with self._lock:
-            self._note()
-            for key, value in cells.items():
-                self._cells[key] = max(self._cells.get(key, value), value)
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            self._note()
-            return {str(dict(key)): value
-                    for key, value in self._cells.items()}
-
-
-class Histogram(_Metric):
+class Histogram:
     """Labeled log-bucketed histogram with percentile extraction."""
 
-    kind = "histogram"
+    def __init__(self):
+        # Tracked: serving workers observe while summary readers
+        # snapshot; lockset-checked like stats.lock.
+        self._lock = lockset.make_lock("Histogram._lock")
+        self._cells: dict[tuple, HistogramCell] = {}
+
+    def _cell(self, labels: dict) -> HistogramCell:
+        """The cell of one label set (caller holds ``_lock``)."""
+        lockset.note_access("Histogram", self, "cells")
+        key = tuple(sorted(labels.items()))
+        cell = self._cells.get(key)
+        if cell is None:
+            cell = self._cells[key] = HistogramCell()
+        return cell
 
     def observe(self, value: float, **labels) -> None:
-        key = _label_key(labels)
         with self._lock:
-            self._note()
-            cell = self._cells.get(key)
-            if cell is None:
-                cell = self._cells[key] = HistogramCell()
-            cell.observe(float(value))
+            self._cell(labels).observe(float(value))
 
     def cells(self) -> list[tuple[dict, HistogramCell]]:
         """Snapshot of every (labels, cell) pair."""
         with self._lock:
-            self._note()
-            return [(dict(key), cell.copy())
-                    for key, cell in self._cells.items()]
+            lockset.note_access("Histogram", self, "cells")
+            snapshot = []
+            for key, cell in self._cells.items():
+                copy = HistogramCell()
+                copy.combine(cell)
+                snapshot.append((dict(key), copy))
+            return snapshot
 
     def aggregate(self, **label_filter) -> HistogramCell:
         """One combined cell over all labels matching ``label_filter``."""
@@ -241,89 +142,16 @@ class Histogram(_Metric):
             groups.setdefault(key, HistogramCell()).combine(cell)
         return groups
 
-    def percentiles(self, qs=DEFAULT_PERCENTILES, **label_filter) -> dict:
-        return self.aggregate(**label_filter).percentiles(qs)
-
-    def count(self, **label_filter) -> int:
-        return self.aggregate(**label_filter).count
-
-    def _merge(self, other: "Histogram") -> None:
+    def merge(self, other: "Histogram") -> None:
+        """Accumulate another histogram's cells into this one."""
         for labels, cell in other.cells():
-            key = _label_key(labels)
             with self._lock:
-                self._note()
-                mine = self._cells.get(key)
-                if mine is None:
-                    mine = self._cells[key] = HistogramCell()
-                mine.combine(cell)
-
-    def snapshot(self) -> dict:
-        return {str(labels): cell.snapshot()
-                for labels, cell in self.cells()}
-
-
-class MetricsRegistry:
-    """Get-or-create registry of named metrics (one per stats object)."""
-
-    _CLASSES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
-    def __init__(self):
-        # Tracked: shared across executor runs, the serving scheduler,
-        # and summary readers; lockset-checked like stats.lock.
-        self._lock = lockset.make_lock("MetricsRegistry._lock")
-        self._metrics: dict[tuple[str, str], _Metric] = {}
-
-    def _get(self, kind: str, name: str) -> _Metric:
-        key = (kind, name)
-        with self._lock:
-            lockset.note_access("MetricsRegistry", self, "metrics")
-            metric = self._metrics.get(key)
-            if metric is None:
-                metric = self._metrics[key] = self._CLASSES[kind](
-                    name, self._lock
-                )
-            return metric
-
-    def counter(self, name: str) -> Counter:
-        return self._get("counter", name)  # type: ignore[return-value]
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get("gauge", name)  # type: ignore[return-value]
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get("histogram", name)  # type: ignore[return-value]
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Accumulate another registry (run-local -> shared)."""
-        with other._lock:
-            lockset.note_access("MetricsRegistry", other, "metrics")
-            theirs = dict(other._metrics)
-        for (kind, name), metric in theirs.items():
-            self._get(kind, name)._merge(metric)  # type: ignore[attr-defined]
-
-    def clear(self) -> None:
-        with self._lock:
-            lockset.note_access("MetricsRegistry", self, "metrics")
-            self._metrics.clear()
-
-    def snapshot(self) -> dict:
-        """All metrics as plain dicts (JSON-friendly observability)."""
-        with self._lock:
-            lockset.note_access("MetricsRegistry", self, "metrics")
-            items = list(self._metrics.items())
-        return {
-            f"{kind}:{name}": metric.snapshot()  # type: ignore[attr-defined]
-            for (kind, name), metric in items
-        }
+                self._cell(labels).combine(cell)
 
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "HistogramCell",
-    "MetricsRegistry",
     "bucket_index",
     "bucket_bounds",
-    "DEFAULT_PERCENTILES",
 ]

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
@@ -59,12 +58,6 @@ from repro.runtime.matrix import MatrixBlock
 from repro.runtime.meta import RuntimeMetadata
 from repro.runtime.parallel import shared_budget
 from repro.runtime.stats import RuntimeStats
-
-
-def _record_output(stats: RuntimeStats, result) -> None:
-    stats.n_intermediates += 1
-    if isinstance(result, (MatrixBlock, CompressedMatrix)):
-        stats.bytes_written += result.size_bytes
 
 
 def _instr_label(instr) -> str:
@@ -117,7 +110,6 @@ def execute_instruction(instr, inputs: list, config: CodegenConfig,
             stats.n_compressed_ops += 1
         result = instr.fused_match.compute(inputs)
         stats.record_spoof("Fused")
-        _record_output(stats, result)
         return result
     if instr.opcode == "spoof_out":
         return float(inputs[0].get(hop.index, 0))
@@ -125,31 +117,22 @@ def execute_instruction(instr, inputs: list, config: CodegenConfig,
         # Exec-type boundary: materialize a distributed intermediate.
         value = inputs[0]
         if isinstance(value, BlockedMatrix):
-            result = (
+            return (
                 spark.collect_value(value) if spark is not None
                 else value.collect()
             )
-        else:
-            result = value  # producer already returned a local value
-        _record_output(stats, result)
-        return result
+        return value  # producer already returned a local value
     if instr.opcode == "spoof":
         if spark is not None and hop.exec_type is ExecType.SPARK:
-            result = spark.execute_instruction(
+            return spark.execute_instruction(
                 instr, inputs, input_keys, output_key
             )
-        else:
-            result = execute_operator(hop.operator, inputs, config, stats)
-        _record_output(stats, result)
-        return result
+        return execute_operator(hop.operator, inputs, config, stats)
     if spark is not None and hop.exec_type is ExecType.SPARK:
-        result = spark.execute_instruction(
+        return spark.execute_instruction(
             instr, inputs, input_keys, output_key
         )
-    else:
-        result = _basic_kernel(hop, inputs, stats)
-    _record_output(stats, result)
-    return result
+    return _basic_kernel(hop, inputs, stats)
 
 
 class ProgramExecutor:
@@ -218,7 +201,6 @@ class ProgramExecutor:
             epoch = self._epoch
 
         tracer = self.stats.tracer
-        started = time.perf_counter()
         with tracer.span("request", cat="request",
                          n_instructions=program.n_instructions):
             if self.spark is not None:
@@ -258,9 +240,6 @@ class ProgramExecutor:
                 run_stats.tracer = tracer
                 self._run_serial(program, values, run_stats, epoch)
                 self.stats.merge(run_stats)
-        self.stats.metrics.histogram("executor_run_seconds").observe(
-            time.perf_counter() - started
-        )
         return [self._as_root_value(values[slot])
                 for slot in program.root_slots]
 

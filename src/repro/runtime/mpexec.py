@@ -277,8 +277,8 @@ def _materialize_operator(operators: dict, name: str, stats):
     return operator
 
 
-def _export_stats(stats):
-    """Nonzero counter fields (plus metric cells) as plain picklables."""
+def _export_stats(stats) -> dict:
+    """A task's nonzero counter fields as plain picklables."""
     counters = {}
     for spec in dataclass_fields(stats):
         value = getattr(stats, spec.name)
@@ -287,14 +287,7 @@ def _export_stats(stats):
                 counters[spec.name] = dict(value)
         elif isinstance(value, (int, float)) and value:
             counters[spec.name] = value
-    metrics = None
-    if stats._metrics is not None:
-        registry = stats._metrics
-        metrics = []
-        with registry._lock:
-            for (kind, name), metric in registry._metrics.items():
-                metrics.append((kind, name, dict(metric._cells)))
-    return counters, metrics
+    return counters
 
 
 def _run_task(task: dict, caches: dict, operators: dict,
@@ -422,7 +415,7 @@ def _worker_main(conn, worker_id: int) -> None:
             if stats is None:  # cache miss: ask the driver to re-ship
                 conn.send(("miss", task_id, result))
                 continue
-            counters, metrics = _export_stats(stats)
+            counters = _export_stats(stats)
             spans = None
             if task.get("trace"):
                 spans = [("mp:task", "mp",
@@ -431,8 +424,7 @@ def _worker_main(conn, worker_id: int) -> None:
                            "partition": task.get("partition", -1),
                            "worker": worker_id},
                           wall_start, duration)]
-            conn.send(("ok", task_id, result, counters, metrics, spans,
-                       notes))
+            conn.send(("ok", task_id, result, counters, spans, notes))
         except SystemExit:
             raise
         except BaseException:
@@ -1051,7 +1043,7 @@ class ProcessPoolBackend:
                     )
 
     def _handle_ok(self, wid: int, msg, state: dict, results: list) -> int:
-        _, task_id, payload, counters, metrics, spans, notes = msg
+        _, task_id, payload, counters, spans, notes = msg
         pending = state["pending"].pop(task_id, None)
         if pending is None:
             return 0  # stale result from an aborted operator
@@ -1072,7 +1064,7 @@ class ProcessPoolBackend:
                     if not loc:
                         del self._locations[(wkey[1], wkey[2])]
         if counters:
-            self._merge_worker_stats(counters, metrics)
+            self._merge_worker_stats(counters)
         if spans:
             self._inject_spans(spans, wid)
         self._send_next(wid, state)
@@ -1155,7 +1147,7 @@ class ProcessPoolBackend:
                 continue
 
     # -- stats / span merge-back ---------------------------------------
-    def _merge_worker_stats(self, counters: dict, metrics) -> None:
+    def _merge_worker_stats(self, counters: dict) -> None:
         from repro.runtime.stats import RuntimeStats
 
         fresh = RuntimeStats()
@@ -1163,17 +1155,6 @@ class ProcessPoolBackend:
             if hasattr(fresh, name):
                 setattr(fresh, name, value)
         self.stats.merge(fresh)
-        if metrics:
-            from repro.obs.metrics import MetricsRegistry
-
-            registry = self.stats.metrics
-            for kind, name, cells in metrics:
-                cls = MetricsRegistry._CLASSES.get(kind)
-                if cls is None:
-                    continue
-                shadow = cls(name, threading.Lock())
-                shadow._cells = cells
-                registry._get(kind, name)._merge(shadow)
 
     def _inject_spans(self, spans, wid: int) -> None:
         tracer = self.stats.tracer

@@ -1,9 +1,12 @@
-"""Runtime statistics counters.
+"""Runtime statistics counters: the engine's one counter store.
 
-Execution engines record the bytes they materialize, the simulated
-network traffic of the distributed backend, and compilation overhead.
-The counters feed Table 3, Figure 11, and Table 6 of the reproduction,
-plus the serving subsystem's per-request telemetry.
+Every counter the engine keeps is a field of :class:`RuntimeStats`:
+compilation overhead, plan and program cache traffic, executor
+scheduling, the simulated network traffic of the distributed backend,
+and the serving subsystem's per-request telemetry.  The counters feed
+Table 3, Figure 11, and Table 6 of the reproduction.  The only values a
+scalar field cannot hold, the labeled serving latency histograms
+(:mod:`repro.obs.metrics`), hang off the same object.
 
 Thread-safety convention: one ``RuntimeStats`` instance may be shared
 by concurrent executor runs and a serving scheduler.  Every *runtime*
@@ -19,18 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from repro.analysis import lockset
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.obs.trace import NULL_TRACER
 
 
 @dataclass
 class RuntimeStats:
     """Mutable statistics attached to one engine instance."""
-
-    # Materialization traffic (local interpreter).
-    bytes_written: float = 0.0
-    bytes_read: float = 0.0
-    n_intermediates: int = 0
 
     # Simulated distributed backend.
     sim_broadcast_bytes: float = 0.0
@@ -69,6 +67,9 @@ class RuntimeStats:
     plan_cache_hits: int = 0
     plan_cache_lookups: int = 0
     plan_cache_size: int = 0  # gauge: entries currently cached (max-merged)
+    # Engine program cache (compiler/program_cache.py): api.eval DAGs.
+    program_cache_hits: int = 0
+    program_cache_lookups: int = 0
 
     # Plan enumeration (Fig 12).
     n_plans_evaluated: int = 0
@@ -143,6 +144,9 @@ class RuntimeStats:
     #: Gauge fields combine via max (not addition) when merging.
     _GAUGES = ("executor_max_concurrency", "plan_cache_size",
                "intra_op_max_threads", "mp_max_workers")
+    #: The labeled histograms :meth:`observe_request` feeds.
+    SERVE_HISTOGRAMS = ("serve_latency_seconds", "serve_queue_seconds",
+                        "serve_exec_seconds")
 
     def __post_init__(self):
         # Reentrant: the distributed backend mutates shared stats while
@@ -154,18 +158,19 @@ class RuntimeStats:
         # cache, scheduler).  Engines replace the no-op default when
         # trace_level != "off"; run-local stats copy the shared tracer.
         self.tracer = NULL_TRACER
-        # Metrics registry, created lazily: run-local stats objects are
-        # constructed per executor task, and most never touch metrics.
-        self._metrics: MetricsRegistry | None = None
+        # Serving histograms, created on first use: run-local stats
+        # objects are constructed per executor run and never observe.
+        self._histograms: dict[str, Histogram] | None = None
 
     @property
-    def metrics(self) -> MetricsRegistry:
-        """The labeled counter/gauge/histogram registry (lazy)."""
-        if self._metrics is None:
+    def histograms(self) -> dict[str, Histogram]:
+        """The serving latency histograms by name (created lazily)."""
+        if self._histograms is None:
             with self.lock:
-                if self._metrics is None:
-                    self._metrics = MetricsRegistry()
-        return self._metrics
+                if self._histograms is None:
+                    self._histograms = {name: Histogram()
+                                        for name in self.SERVE_HISTOGRAMS}
+        return self._histograms
 
     def scheduling_summary(self) -> dict:
         """Executor scheduling counters (bench harness JSON output)."""
@@ -244,20 +249,14 @@ class RuntimeStats:
         """Record one served request into the latency histograms.
 
         Labeled by (tenant, program) so ``serving_summary()`` can report
-        percentiles per tenant as well as in aggregate.  The metrics
-        registry takes its own lock; callers need not hold stats.lock.
+        percentiles per tenant as well as in aggregate.  Each histogram
+        takes its own lock; callers need not hold stats.lock.
         """
         labels = {"tenant": tenant, "program": program}
-        metrics = self.metrics
-        metrics.histogram("serve_latency_seconds").observe(
-            latency_seconds, **labels
-        )
-        metrics.histogram("serve_queue_seconds").observe(
-            queue_seconds, **labels
-        )
-        metrics.histogram("serve_exec_seconds").observe(
-            exec_seconds, **labels
-        )
+        histograms = self.histograms
+        histograms["serve_latency_seconds"].observe(latency_seconds, **labels)
+        histograms["serve_queue_seconds"].observe(queue_seconds, **labels)
+        histograms["serve_exec_seconds"].observe(exec_seconds, **labels)
 
     def serving_summary(self) -> dict:
         """Per-request serving telemetry plus plan-cache health.
@@ -267,8 +266,8 @@ class RuntimeStats:
         latency histograms the scheduler feeds via
         :meth:`observe_request`.
         """
-        latency = self.metrics.histogram("serve_latency_seconds")
-        queue = self.metrics.histogram("serve_queue_seconds")
+        latency = self.histograms["serve_latency_seconds"]
+        queue = self.histograms["serve_queue_seconds"]
         lat_all = latency.aggregate()
         queue_all = queue.aggregate()
         per_tenant = {
@@ -336,6 +335,11 @@ class RuntimeStats:
         hist = self.recompile_divergence_hist
         hist[label] = hist.get(label, 0) + 1
 
+    def record_pass(self, name: str, seconds: float) -> None:
+        """Add one compiler pass's wall-clock to its running total."""
+        totals = self.pipeline_pass_seconds
+        totals[name] = totals.get(name, 0.0) + seconds
+
     def adaptive_summary(self) -> dict:
         """Adaptive-recompilation counters (bench/doc observability)."""
         return {
@@ -366,15 +370,14 @@ class RuntimeStats:
 
         Enumerates ``dataclasses.fields`` so every declared counter —
         including ones added after this method was written — resets;
-        non-field attributes (lock, tracer, metrics) are handled
+        non-field attributes (lock, tracer, histograms) are handled
         explicitly.
         """
         fresh = RuntimeStats()
         with self.lock:
             for spec in fields(self):
                 setattr(self, spec.name, getattr(fresh, spec.name))
-            if self._metrics is not None:
-                self._metrics.clear()
+            self._histograms = None
 
     def merge(self, other: "RuntimeStats") -> None:
         """Accumulate another stats object into this one.
@@ -409,5 +412,6 @@ class RuntimeStats:
                     continue
                 if note:
                     lockset.note_access("RuntimeStats", self, key)
-            if other._metrics is not None:
-                self.metrics.merge(other._metrics)
+            if other._histograms is not None:
+                for name, histogram in other._histograms.items():
+                    self.histograms[name].merge(histogram)

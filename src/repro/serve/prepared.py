@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro import api
-from repro.compiler.program_cache import BuildOnceLRU
+from repro.codegen.plan_cache import BuildOnceLRU
 from repro.errors import ServingError, UnbatchableProgramError
 from repro.hops import memory
 from repro.hops.hop import DataOp
@@ -157,7 +157,7 @@ class PreparedProgram:
 
         A concurrent miss on the *same* signature waits on the first
         thread's compile; hits on other signatures never queue behind
-        it (:class:`~repro.compiler.program_cache.BuildOnceLRU`).
+        it (:class:`~repro.codegen.plan_cache.BuildOnceLRU`).
         """
         stats = self.engine.stats
         is_recompile = False

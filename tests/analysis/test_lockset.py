@@ -239,22 +239,19 @@ class TestObservability:
         assert len(tracer.events()) == 4 * 30 * 3
 
     def test_concurrent_metrics_observe_clean(self):
-        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.metrics import Histogram
 
-        registry = MetricsRegistry()
+        hist = Histogram()
         with lockset.lockset_debug() as checker:
             def worker():
                 for index in range(40):
-                    registry.counter("c").inc(tenant="t")
-                    registry.histogram("h").observe(
-                        0.001 * (index + 1), tenant="t"
-                    )
-                    registry.gauge("g").set(index)
+                    hist.observe(0.001 * (index + 1), tenant="t")
+                    hist.aggregate(tenant="t")
 
             _run_threads(4, worker)
         assert checker.reports == []
-        assert registry.counter("c").total() == 160
-        assert registry.histogram("h").aggregate().count == 160
+        assert checker.summary()["n_fields_tracked"] >= 1
+        assert hist.aggregate().count == 160
 
     def test_traced_engine_under_load_runs_clean(self):
         """lockset_debug + trace_level=instructions: the tracer/metrics

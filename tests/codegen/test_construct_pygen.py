@@ -17,6 +17,7 @@ from repro.config import CodegenConfig
 from repro.hops.hop import collect_dag
 from repro.hops.rewrites import apply_rewrites
 from repro.runtime.matrix import MatrixBlock
+from repro.runtime.stats import RuntimeStats
 from tests.conftest import ALL_MODES, make_engine
 
 
@@ -204,10 +205,11 @@ class TestPlanCache:
             plan, _ = _select_plan([(x * y).sum()])
             return construct_cplan(plan, config)[0]
 
-        op1 = cache.get_or_compile(build(30), config)
-        op2 = cache.get_or_compile(build(90), config)
+        stats = RuntimeStats()
+        op1 = cache.get_or_compile(build(30), config, stats)
+        op2 = cache.get_or_compile(build(90), config, stats)
         assert op1 is op2
-        assert cache.hits == 1
+        assert stats.plan_cache_hits == 1
 
     def test_disabled_cache_recompiles(self, rng):
         cache = PlanCache(enabled=False)

@@ -11,6 +11,7 @@ import pytest
 from repro import api
 from repro.codegen.plan_cache import PlanCache
 from repro.config import CodegenConfig
+from repro.runtime.stats import RuntimeStats
 from tests.conftest import GEN_MODES, make_engine
 
 RNG = np.random.default_rng(31)
@@ -29,7 +30,7 @@ class TestGetOrCompile:
     def _cplan(self, engine):
         """Compile once through the engine to obtain a realistic CPlan."""
         api.eval(_sum_expr(), engine=engine)
-        (operator,) = list(engine.plan_cache._cache.values())
+        (operator,) = list(engine.plan_cache._cache._entries.values())
         return operator.cplan
 
     def test_miss_compiles_then_hits(self):
@@ -37,31 +38,25 @@ class TestGetOrCompile:
         cplan = self._cplan(engine)
         cache = PlanCache(enabled=True)
         config = CodegenConfig()
-        first = cache.get_or_compile(cplan, config)
-        assert cache.lookups == 1 and cache.hits == 0
-        second = cache.get_or_compile(cplan, config)
-        assert cache.lookups == 2 and cache.hits == 1
+        stats = RuntimeStats()
+        first = cache.get_or_compile(cplan, config, stats)
+        assert stats.plan_cache_lookups == 1 and stats.plan_cache_hits == 0
+        second = cache.get_or_compile(cplan, config, stats)
+        assert stats.plan_cache_lookups == 2 and stats.plan_cache_hits == 1
         assert second is first
+        assert stats.n_classes_compiled == 1 and stats.plan_cache_size == 1
 
     def test_disabled_cache_always_misses(self):
         engine = make_engine("gen")
         cplan = self._cplan(engine)
         cache = PlanCache(enabled=False)
         config = CodegenConfig()
-        first = cache.get_or_compile(cplan, config)
-        second = cache.get_or_compile(cplan, config)
+        stats = RuntimeStats()
+        first = cache.get_or_compile(cplan, config, stats)
+        second = cache.get_or_compile(cplan, config, stats)
         assert first is not second
-        assert cache.hits == 0
-
-    def test_clear_resets_counters_and_entries(self):
-        engine = make_engine("gen")
-        cplan = self._cplan(engine)
-        cache = PlanCache(enabled=True)
-        cache.get_or_compile(cplan, CodegenConfig())
-        cache.clear()
-        assert cache.lookups == 0 and cache.hits == 0
-        cache.get_or_compile(cplan, CodegenConfig())
-        assert cache.hits == 0  # recompiled after clear
+        assert stats.plan_cache_lookups == 2 and stats.plan_cache_hits == 0
+        assert stats.n_classes_compiled == 2 and cache.size == 0
 
 
 class TestConcurrentAccess:
@@ -69,11 +64,9 @@ class TestConcurrentAccess:
         """Threads racing on the same key share one compilation."""
         import threading
 
-        from repro.runtime.stats import RuntimeStats
-
         engine = make_engine("gen")
         api.eval(_sum_expr(), engine=engine)
-        (operator,) = list(engine.plan_cache._cache.values())
+        (operator,) = list(engine.plan_cache._cache._entries.values())
         cplan = operator.cplan
 
         cache = PlanCache(enabled=True)
@@ -101,8 +94,8 @@ class TestConcurrentAccess:
         operators = set(map(id, compiled.values()))
         assert len(operators) == 1  # everyone got the same object
         assert stats.n_classes_compiled == 1  # no double-compile
-        assert cache.lookups == n_threads
-        assert cache.hits == n_threads - 1
+        assert stats.plan_cache_lookups == n_threads
+        assert stats.plan_cache_hits == n_threads - 1
         assert cache.size == 1
 
 

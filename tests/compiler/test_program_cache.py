@@ -18,8 +18,9 @@ import pytest
 import scipy.sparse as sp
 
 from repro import api
+from repro.codegen.plan_cache import BuildOnceLRU
 from repro.compiler.execution import Engine
-from repro.compiler.program_cache import BuildOnceLRU, sign_dag
+from repro.compiler.program_cache import sign_dag
 from repro.config import ClusterConfig, CodegenConfig
 from repro.hops.hop import DataOp, collect_dag
 from repro.runtime.compressed import compress
@@ -33,9 +34,10 @@ VD = RNG.random((12, 1))
 
 
 def _lookups(engine, outcome):
-    return engine.stats.metrics.counter("program_cache_lookups").value(
-        outcome=outcome
-    )
+    stats = engine.stats
+    if outcome == "hit":
+        return stats.program_cache_hits
+    return stats.program_cache_lookups - stats.program_cache_hits
 
 
 def _build(xd=XD, yd=YD, lit=2.0):

@@ -211,6 +211,5 @@ class TestInterpreter:
         # Four statement blocks with one signature: optimized once, the
         # other three iterations rerun the cached program.
         assert engine.stats.n_dags_optimized == 1
-        lookups = engine.stats.metrics.counter("program_cache_lookups")
-        assert lookups.value(outcome="miss") == 1
-        assert lookups.value(outcome="hit") == 3
+        assert engine.stats.program_cache_lookups == 4
+        assert engine.stats.program_cache_hits == 3

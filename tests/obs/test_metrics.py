@@ -1,17 +1,18 @@
-"""Metrics registry: counters, gauges, log-bucketed histograms.
+"""Log-bucketed latency histograms and the serving histograms on stats.
 
 Covers percentile sanity on the histogram cells (ordering, clamping to
-observed extremes, interpolation), label handling, registry merge, and
-the serving-summary integration (``observe_request`` feeding per-tenant
-percentiles while every pre-existing summary key survives).
+observed extremes, interpolation), label handling, histogram merge, the
+lazy histogram set on ``RuntimeStats``, and the serving-summary
+integration (``observe_request`` feeding per-tenant percentiles while
+every pre-existing summary key survives).
 """
 
 import numpy as np
 import pytest
 
 from repro.obs.metrics import (
+    Histogram,
     HistogramCell,
-    MetricsRegistry,
     bucket_bounds,
     bucket_index,
 )
@@ -86,31 +87,17 @@ class TestHistogramCell:
 
 
 class TestRegistry:
-    def test_counter_labels(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("requests")
-        counter.inc(tenant="a")
-        counter.inc(2, tenant="b")
-        counter.inc(tenant="a")
-        assert counter.value(tenant="a") == 2
-        assert counter.value(tenant="b") == 2
-        assert counter.total() == 4
-
-    def test_gauge_set_and_merge_max(self):
-        first, second = MetricsRegistry(), MetricsRegistry()
-        first.gauge("depth").set(3)
-        second.gauge("depth").set(7)
-        first.merge(second)
-        assert first.gauge("depth").value() == 7
+    """The labeled histograms and the set of them ``RuntimeStats`` holds."""
 
     def test_get_or_create_is_idempotent(self):
-        registry = MetricsRegistry()
-        assert registry.histogram("h") is registry.histogram("h")
-        assert registry.counter("c") is registry.counter("c")
+        stats = RuntimeStats()
+        assert stats._histograms is None  # nothing built until first use
+        histograms = stats.histograms
+        assert stats.histograms is histograms
+        assert tuple(histograms) == RuntimeStats.SERVE_HISTOGRAMS
 
     def test_histogram_grouped_and_filtered(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("latency")
+        hist = Histogram()
         for value in (0.01, 0.02):
             hist.observe(value, tenant="a", program="p")
         hist.observe(0.5, tenant="b", program="p")
@@ -118,28 +105,18 @@ class TestRegistry:
         assert set(grouped) == {"a", "b"}
         assert grouped["a"].count == 2
         assert grouped["b"].count == 1
-        assert hist.count(tenant="a") == 2
+        assert hist.aggregate(tenant="a").count == 2
         assert hist.aggregate().count == 3
 
     def test_merge_accumulates_histograms(self):
-        first, second = MetricsRegistry(), MetricsRegistry()
-        first.histogram("h").observe(0.01, k="x")
-        second.histogram("h").observe(0.02, k="x")
-        second.histogram("h").observe(0.03, k="y")
-        second.counter("c").inc(5)
+        first, second = Histogram(), Histogram()
+        first.observe(0.01, k="x")
+        second.observe(0.02, k="x")
+        second.observe(0.03, k="y")
         first.merge(second)
-        assert first.histogram("h").count(k="x") == 2
-        assert first.histogram("h").count(k="y") == 1
-        assert first.counter("c").total() == 5
-
-    def test_snapshot_is_json_ready(self):
-        import json
-
-        registry = MetricsRegistry()
-        registry.counter("c").inc(tenant="a")
-        registry.gauge("g").set(2.5)
-        registry.histogram("h").observe(0.01)
-        json.dumps(registry.snapshot())  # must not raise
+        assert first.aggregate(k="x").count == 2
+        assert first.aggregate(k="y").count == 1
+        assert first.aggregate(k="x").vmax == 0.02
 
 
 class TestServingSummaryIntegration:
@@ -167,7 +144,7 @@ class TestServingSummaryIntegration:
     def test_summary_keeps_backward_compatible_keys(self):
         summary = RuntimeStats().serving_summary()
         # The pre-obs dict shape: every original key must survive the
-        # metrics refactor (downstream benches index these directly).
+        # histogram refactor (downstream benches index these directly).
         for key in (
             "n_requests_served", "n_requests_batched",
             "n_batches_executed", "n_batch_fallbacks",

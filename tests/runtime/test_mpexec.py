@@ -314,7 +314,7 @@ class TestSpawnGuards:
             ((api.matrix(data, "X") * 2.0) + 1.0).sum(), engine=engine
         )
         operators = [
-            op for op in engine.plan_cache._cache.values()
+            op for op in engine.plan_cache._cache._entries.values()
             if isinstance(op, pygen.GeneratedOperator)
         ]
         assert operators
@@ -426,11 +426,8 @@ class TestWorkerHelpers:
         stats = RuntimeStats()
         stats.n_compiled_runs = 3
         stats.sim_seconds = 0.25
-        counters, metrics = mpexec._export_stats(stats)
-        assert counters["n_compiled_runs"] == 3
-        assert counters["sim_seconds"] == 0.25
-        assert "n_interpreted_runs" not in counters  # zero: dropped
-        assert metrics is None
+        counters = mpexec._export_stats(stats)
+        assert counters == {"n_compiled_runs": 3, "sim_seconds": 0.25}
 
     def test_run_task_hop_cache_and_miss(self, rng):
         block = MatrixBlock(rng.random((50, 8)) - 0.5)

@@ -117,14 +117,14 @@ class TestMerge:
         source, target = RuntimeStats(), RuntimeStats()
         source.observe_request("p", "t", 0.001, 0.002, 0.003)
         target.merge(source)
-        hist = target.metrics.histogram("serve_latency_seconds")
+        hist = target.histograms["serve_latency_seconds"]
         assert hist.aggregate().count == 1
 
     def test_merge_without_metrics_stays_lazy(self):
         source, target = RuntimeStats(), RuntimeStats()
         source.n_recompiles = 1
         target.merge(source)
-        assert target._metrics is None  # no registry materialized
+        assert target._histograms is None  # no histogram materialized
 
 
 class TestReset:
@@ -139,7 +139,7 @@ class TestReset:
                 fresh, spec.name
             ), f"reset left field '{spec.name}' populated"
         assert stats.tracer is tracer  # identity survives reset
-        latency = stats.metrics.histogram("serve_latency_seconds")
+        latency = stats.histograms["serve_latency_seconds"]
         assert latency.aggregate().count == 0
 
     def test_reset_then_merge_round_trips(self):
